@@ -250,8 +250,6 @@ def build_parser() -> _Parser:
     p.add_argument("--no-clamp", action="store_true",
                    help="do not re-pin observed rows between hops (study toggle)")
     p.add_argument("--iter-tolerance", type=float, default=1e-8)
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; outputs do not depend on it")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_impute)
 
@@ -288,8 +286,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ppr-mode", choices=PPR_MODES, default="exact")
     p.add_argument("--fallback", choices=FALLBACKS, default="global-mean")
     p.add_argument("--iter-tolerance", type=float, default=1e-8)
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; outputs do not depend on it")
     p.add_argument("--out", required=True, help="report file (JSON)")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -5,6 +5,9 @@ cleared and leave observed rows byte-identical to their inputs. Masked
 rows always enter the computation as zero placeholders, so items whose
 neighbors are themselves missing contribute nothing to a neighborhood
 average. The graph-aware strategies consume structures from `graph`.
+Because observed rows never change under clamping, the graph methods
+compute only masked rows: neighbor means and clamped hops multiply the
+operator's masked rows, never the whole matrix.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from .graph import (
 FIXED_POINT_STEP_CAP = 500
 
 IterationHook = Callable[[str, int, np.ndarray], None]
+# (modality, rows) -> step mapping the current matrix to its `rows` after
+# one hop; rows=None means every row
+RowStep = Callable[[str, np.ndarray | None], Callable[[np.ndarray], np.ndarray]]
 
 
 def _cleared(f: FeatureSet, matrices: dict[str, np.ndarray]) -> FeatureSet:
@@ -118,49 +124,59 @@ def impute_neigh_mean(f: FeatureSet, g: ItemGraph, fallback: str = "global-mean"
     _check_graph(f, g)
     out = {}
     for m in f.modalities:
-        base = _zero_init(f, m)  # simultaneous update: reads placeholders, not results
         x = f.matrices[m].copy()
-        fallback_row = None
-        for i in np.flatnonzero(f.masks[m]):
-            nb = g.neighbors(i)
-            if nb.size == 0:
-                if fallback_row is None:
-                    fallback_row = _fallback_row(f, m, fallback)
-                x[i] = fallback_row
-            else:
-                # left fold in ascending neighbor order; the accumulation
-                # order is part of the determinism contract
-                acc = np.zeros(f.dim(m))
-                for j in nb:
-                    acc += base[j]
-                x[i] = acc / nb.size
+        rows = np.flatnonzero(f.masks[m])
+        if rows.size:
+            deg = g.degrees[rows]
+            # simultaneous update: reads placeholders, not results. CSR
+            # products sum each row in ascending neighbor order, a left
+            # fold that is part of the determinism contract
+            x[rows] = (g.adjacency[rows] @ _zero_init(f, m)) / np.maximum(deg, 1)[:, None]
+            cold = rows[deg == 0]  # zero rows so far; they take the fallback
+            if cold.size:
+                x[cold] = _fallback_row(f, m, fallback)
         out[m] = x
     return _cleared(f, out)
+
+
+def _take_rows(a, rows: np.ndarray | None):
+    return a if rows is None else a[rows]
 
 
 def _propagate(
     f: FeatureSet,
     hops: int,
-    apply_op: Callable[[str, int, np.ndarray], np.ndarray],
+    row_step: RowStep,
     clamp: bool,
     on_iteration: IterationHook | None,
 ) -> dict[str, np.ndarray]:
-    """Shared hop loop: zero-init, apply, optionally re-pin observed rows."""
+    """Shared hop loop that computes only the rows each hop must produce.
+
+    With `clamp` on, observed rows never change, so every hop updates just
+    the masked rows: `x[rows] = step(x)`. With `clamp` off, `rows` is None
+    and each hop recomputes every row. `row_step(m, rows)` builds the step
+    once per modality, so an operator is sliced to `rows` once, not once
+    per hop. A modality with no masked rows is copied through with no hops
+    and no `on_iteration` calls. The hook sees the whole matrix, which
+    later hops update in place.
+    """
     out = {}
     for m in f.modalities:
         mask = f.masks[m]
-        observed = ~mask
-        original = f.matrices[m]
         x = _zero_init(f, m)
-        for t in range(1, hops + 1):
-            x = apply_op(m, t, x)
-            if clamp:
-                x[observed] = original[observed]
-            if on_iteration is not None:
-                on_iteration(m, t, x)
-        final = original.copy()
-        final[mask] = x[mask]
-        out[m] = final
+        if mask.any():
+            rows = np.flatnonzero(mask) if clamp else None
+            step = row_step(m, rows)
+            for t in range(1, hops + 1):
+                if rows is None:
+                    x = step(x)
+                else:
+                    x[rows] = step(x)
+                if on_iteration is not None:
+                    on_iteration(m, t, x)
+            if rows is None:  # unclamped hops moved them; outputs keep the inputs
+                x[~mask] = f.matrices[m][~mask]
+        out[m] = x
     return out
 
 
@@ -173,9 +189,10 @@ def impute_multihop(
 ) -> FeatureSet:
     """Propagate features over the symmetric-normalized graph for `hops` steps.
 
-    Missing rows start from zero; after every step the observed rows are
-    reset to their original values (unless `clamp` is disabled), so
-    information always flows outward from observed items.
+    Missing rows start from zero and observed rows stay pinned to their
+    original values (unless `clamp` is disabled), so information always
+    flows outward from observed items. Clamped hops compute only the
+    masked rows, with the operator sliced to them once per modality.
     """
     if op.mode != MODE_SYM:
         raise InvalidParameter("multihop requires a sym-laplacian operator")
@@ -183,7 +200,12 @@ def impute_multihop(
         raise InvalidParameter(f"hops must be at least 1, got {hops}")
     _check_graph(f, op.base)
     s = op.matrix
-    out = _propagate(f, hops, lambda m, t, x: s @ x, clamp, on_iteration)
+
+    def row_step(m, rows):
+        s_rows = _take_rows(s, rows)
+        return lambda x: s_rows @ x
+
+    out = _propagate(f, hops, row_step, clamp, on_iteration)
     return _cleared(f, out)
 
 
@@ -231,19 +253,29 @@ def _pers_pagerank(
     if mode == "exact":
         kwargs = {} if exact_cap is None else {"cap": exact_cap}
         diffusion = ppr_exact(g, alpha, **kwargs).matrix
-        out = _propagate(f, hops, lambda m, t, x: diffusion @ x, clamp, on_iteration)
+        # the full dense product, then the rows: keeps BLAS blocking, and
+        # so every bit, independent of how many rows are masked
+        out = _propagate(
+            f, hops, lambda m, rows: lambda x: _take_rows(diffusion @ x, rows), clamp, on_iteration
+        )
     elif mode == "iterative":
         a_sl = ppr_iterative(g, alpha).matrix
         steps: dict[str, list[int]] = {m: [] for m in f.modalities}
         residuals: dict[str, list[float]] = {m: [] for m in f.modalities}
 
-        def apply(m, t, x):
-            result, n_steps, residual = _ppr_fixed_point(a_sl, alpha, x, iter_tolerance, step_cap)
-            steps[m].append(n_steps)
-            residuals[m].append(residual)
-            return result
+        def row_step(m, rows):
+            def step(x):
+                # the fixed point couples every row; only `rows` are kept
+                result, n_steps, residual = _ppr_fixed_point(
+                    a_sl, alpha, x, iter_tolerance, step_cap
+                )
+                steps[m].append(n_steps)
+                residuals[m].append(residual)
+                return _take_rows(result, rows)
 
-        out = _propagate(f, hops, apply, clamp, on_iteration)
+            return step
+
+        out = _propagate(f, hops, row_step, clamp, on_iteration)
         for m in f.modalities:
             stats[m]["fixed_point_steps"] = steps[m]
             stats[m]["fixed_point_residuals"] = residuals[m]
@@ -269,7 +301,9 @@ def impute_pers_pagerank(
     "exact" applies the dense alpha * B^-1; "iterative" realizes each
     application as a fixed point over the self-loop normalized adjacency
     and matches the dense operator wherever the underlying series
-    converges. Observed rows are re-pinned after every application.
+    converges. Observed rows stay pinned between applications, so clamped
+    hops keep only the masked rows of each application. A modality with
+    nothing masked is returned unchanged without solving anything.
     """
     out, _ = _pers_pagerank(
         f, g, alpha, hops,

@@ -132,3 +132,26 @@ def permute_feature_set(f, perm):
         matrices[m] = mat
         masks[m] = mask
     return FeatureSet(f.modalities, matrices, masks)
+
+
+def full_matrix_propagate(f, hops, apply_op, clamp):
+    """Full-matrix hop loop: apply the operator to every row, re-pin the
+    observed rows, and finally copy the masked rows into the input.
+
+    The reference the masked-row kernel must match bit for bit.
+    """
+    out = {}
+    for m in f.modalities:
+        mask = f.masks[m]
+        observed = ~mask
+        original = f.matrices[m]
+        x = original.copy()
+        x[mask] = 0.0
+        for t in range(1, hops + 1):
+            x = apply_op(m, t, x)
+            if clamp:
+                x[observed] = original[observed]
+        final = original.copy()
+        final[mask] = x[mask]
+        out[m] = final
+    return out

@@ -85,8 +85,7 @@ def test_impute_no_clamp_changes_diffusion(tmp_path):
     free = tmp_path / "free"
     # even hop count: on the a-b-c path the unclamped endpoint value
     # alternates, so it must differ from the clamped fixed value
-    base = ["impute", *args, "--method", "multihop", "--top-k", "2", "--hops", "4",
-            "--threads", "1"]
+    base = ["impute", *args, "--method", "multihop", "--top-k", "2", "--hops", "4"]
     assert main([*base, "--out", str(clamped)]) == 0
     assert main([*base, "--no-clamp", "--out", str(free)]) == 0
     assert (clamped / "text.fmat").read_bytes() != (free / "text.fmat").read_bytes()

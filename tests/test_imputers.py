@@ -16,12 +16,17 @@ from mmimpute import (
     impute_pers_pagerank,
     impute_random,
     impute_zeros,
+    ppr_exact,
+    ppr_iterative,
     sym_norm_adjacency,
 )
+
+from mmimpute.imputers import _ppr_fixed_point
 
 from helpers import (
     binary_graph,
     feature_set,
+    full_matrix_propagate,
     naive_neigh_mean,
     random_connected_graph,
     random_feature_set,
@@ -203,6 +208,83 @@ def test_ppr_modes_agree():
             a = impute_pers_pagerank(f, g, alpha, 5, mode="exact")
             b = impute_pers_pagerank(f, g, alpha, 5, mode="iterative", iter_tolerance=1e-10)
             assert np.max(np.abs(a.matrices["m"] - b.matrices["m"])) < 1e-6
+
+
+def test_masked_row_kernel_matches_full_matrix_loop():
+    rng = np.random.default_rng(2111)
+    for case in range(50):
+        n = int(rng.integers(2, 25))
+        g = random_connected_graph(rng, n)
+        feats = rng.standard_normal((n, int(rng.integers(1, 6))))
+        mask = np.zeros(n, dtype=bool)
+        if case % 3 == 0:  # exactly one masked row
+            mask[int(rng.integers(0, n))] = True
+        elif case % 3 == 1:  # every row but one masked
+            mask[:] = True
+            mask[int(rng.integers(0, n))] = False
+        else:
+            mask[rng.permutation(n)[: int(rng.integers(1, n))]] = True
+        f = feature_set(feats, mask)
+        hops = int(rng.integers(1, 6))
+        alpha = 0.85
+        s = sym_norm_adjacency(g).matrix
+        diffusion = ppr_exact(g, alpha).matrix
+        a_sl = ppr_iterative(g, alpha).matrix
+        runs = [
+            (lambda: impute_multihop(f, sym_norm_adjacency(g), hops),
+             lambda m, t, x: s @ x, True),
+            (lambda: impute_multihop(f, sym_norm_adjacency(g), hops, clamp=False),
+             lambda m, t, x: s @ x, False),
+            (lambda: impute_pers_pagerank(f, g, alpha, hops, mode="exact"),
+             lambda m, t, x: diffusion @ x, True),
+            (lambda: impute_pers_pagerank(f, g, alpha, hops, mode="iterative"),
+             lambda m, t, x: _ppr_fixed_point(a_sl, alpha, x, 1e-8, 500)[0], True),
+        ]
+        for k, (run, apply_op, clamp) in enumerate(runs):
+            expected = full_matrix_propagate(f, hops, apply_op, clamp)["m"]
+            assert run().matrices["m"].tobytes() == expected.tobytes(), (case, k)
+
+
+def test_fully_observed_modality_is_copied_through():
+    rng = np.random.default_rng(12)
+    n = 14
+    g = random_connected_graph(rng, n)
+    masked = random_feature_set(rng, n, name="text")
+    full = rng.standard_normal((n, 3))
+    f = FeatureSet(
+        ("text", "visual"),
+        {"text": masked.matrices["text"], "visual": full},
+        {"text": masked.masks["text"], "visual": np.zeros(n, dtype=bool)},
+    )
+    seen = []
+
+    def hook(modality, t, x):
+        seen.append(modality)
+
+    runs = [
+        impute_multihop(f, sym_norm_adjacency(g), 4, on_iteration=hook),
+        impute_multihop(f, sym_norm_adjacency(g), 4, clamp=False, on_iteration=hook),
+        impute_pers_pagerank(f, g, 0.85, 4, mode="exact", on_iteration=hook),
+        impute_pers_pagerank(f, g, 0.85, 4, mode="iterative", on_iteration=hook),
+    ]
+    assert seen == ["text"] * 16
+    for out in runs:
+        assert out.matrices["visual"].tobytes() == full.tobytes()
+    r = build_interaction_matrix([(f"u{i}", f"i{i + d}") for i in range(n - 1) for d in (0, 1)])
+    cfg = ImputeConfig(method="pers-pagerank", ppr_mode="iterative", hops=3)
+    _, report = impute(f, r, cfg)
+    assert len(report["modalities"]["text"]["fixed_point_steps"]) == 3
+    assert report["modalities"]["visual"]["fixed_point_steps"] == []
+    assert report["modalities"]["visual"]["fixed_point_residuals"] == []
+
+
+def test_nothing_masked_never_diverges():
+    # alpha=0.5 diverges on this graph (test_ppr_divergent_at_half), but
+    # with nothing to impute nothing is propagated
+    g = binary_graph(2, [(0, 1)])
+    f = feature_set([[1.0], [2.0]], [False, False])
+    out = impute_pers_pagerank(f, g, 0.5, 1, mode="iterative")
+    assert out.matrices["m"].tobytes() == f.matrices["m"].tobytes()
 
 
 def all_method_runs(f, g):
