@@ -43,7 +43,6 @@ from .features import (
     GRAPH_METHODS,
     ImputeConfig,
     METHODS,
-    PPR_MODES,
     ValidationReport,
     validate,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "NoObservedFeatures",
     "NormalizedOperator",
     "NumericalError",
-    "PPR_MODES",
     "ParseError",
     "SingularDiffusion",
     "UnknownItem",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import DataError, InconsistentData, InvalidParameter, NumericalError, UsageError
 from .evaluate import dataset_stats, drop_missing, run_sweep, synth_generate
-from .features import FALLBACKS, ImputeConfig, METHODS, PPR_MODES, validate
+from .features import FALLBACKS, ImputeConfig, METHODS, validate
 from .imputers import impute
 from .io import load_feature_set, read_interactions, write_dataset, write_feature_set
 
@@ -112,7 +112,6 @@ def _cmd_impute(args) -> int:
         hops=args.hops,
         alpha=args.alpha,
         seed=args.seed,
-        ppr_mode=args.ppr_mode,
         cold_fallback=args.fallback,
         iter_tolerance=args.iter_tolerance,
         clamp=not args.no_clamp,
@@ -187,7 +186,6 @@ def _cmd_evaluate(args) -> int:
         args.hide_fraction,
         args.seed,
         alpha=args.alpha,
-        ppr_mode=args.ppr_mode,
         cold_fallback=args.fallback,
         iter_tolerance=args.iter_tolerance,
     )
@@ -244,12 +242,14 @@ def build_parser() -> _Parser:
     p.add_argument("--hops", type=int, default=10, help="propagation depth T")
     p.add_argument("--alpha", type=float, default=0.85, help="teleport probability")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ppr-mode", choices=PPR_MODES, default="exact")
+    p.add_argument("--ppr-mode", choices=("iterative",), default="iterative",
+                   help="accepted for existing scripts; the fixed point is the only solver")
     p.add_argument("--fallback", choices=FALLBACKS, default="global-mean",
                    help="filling for items with no graph neighbors")
     p.add_argument("--no-clamp", action="store_true",
                    help="do not re-pin observed rows between hops (study toggle)")
-    p.add_argument("--iter-tolerance", type=float, default=1e-8)
+    p.add_argument("--iter-tolerance", type=float, default=1e-8,
+                   help="fixed-point stopping residual, relative to the largest |input|")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_impute)
 
@@ -283,9 +283,9 @@ def build_parser() -> _Parser:
     p.add_argument("--hops-grid", default="1:20:1", metavar="START:STOP:STEP")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=0.85)
-    p.add_argument("--ppr-mode", choices=PPR_MODES, default="exact")
     p.add_argument("--fallback", choices=FALLBACKS, default="global-mean")
-    p.add_argument("--iter-tolerance", type=float, default=1e-8)
+    p.add_argument("--iter-tolerance", type=float, default=1e-8,
+                   help="fixed-point stopping residual, relative to the largest |input|")
     p.add_argument("--out", required=True, help="report file (JSON)")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -276,7 +276,6 @@ def run_sweep(
     hide_fraction: float,
     seed: int,
     alpha: float = 0.85,
-    ppr_mode: str = "exact",
     cold_fallback: str = "global-mean",
     iter_tolerance: float = 1e-8,
 ) -> list[dict]:
@@ -309,7 +308,6 @@ def run_sweep(
                 hops=hops if hops is not None else 10,
                 alpha=alpha,
                 seed=run_seed,
-                ppr_mode=ppr_mode,
                 cold_fallback=cold_fallback,
                 iter_tolerance=iter_tolerance,
             )

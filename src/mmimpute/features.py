@@ -12,7 +12,6 @@ from .graph import InteractionMatrix
 
 METHODS = ("zeros", "random", "global-mean", "neigh-mean", "multihop", "pers-pagerank")
 GRAPH_METHODS = ("neigh-mean", "multihop", "pers-pagerank")
-PPR_MODES = ("exact", "iterative")
 FALLBACKS = ("zeros", "global-mean")
 
 
@@ -88,9 +87,10 @@ class ImputeConfig:
     """Method selector plus hyper-parameters for the dispatcher.
 
     `top_k` controls graph sparsification, `hops` the propagation depth,
-    `alpha` the teleport probability, `ppr_mode` the dense-vs-fixed-point
-    realization, `cold_fallback` how degree-0 masked items are filled,
-    and `clamp` whether observed rows are re-pinned after every hop.
+    `alpha` the teleport probability, `cold_fallback` how degree-0 masked
+    items are filled, `iter_tolerance` when a personalized-PageRank fixed
+    point has converged, and `clamp` whether observed rows are re-pinned
+    after every hop.
     """
 
     method: str
@@ -98,11 +98,9 @@ class ImputeConfig:
     hops: int = 10
     alpha: float = 0.85
     seed: int = 0
-    ppr_mode: str = "exact"
     cold_fallback: str = "global-mean"
     iter_tolerance: float = 1e-8
     clamp: bool = True
-    ppr_exact_cap: int = 2000
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -117,14 +115,10 @@ class ImputeConfig:
             raise InvalidParameter(f"alpha must be in (0, 1], got {self.alpha}")
         if not (0 <= self.seed < 2**64):
             raise InvalidParameter("seed must be an unsigned 64-bit integer")
-        if self.ppr_mode not in PPR_MODES:
-            raise InvalidParameter(f"unknown ppr_mode '{self.ppr_mode}'")
         if self.cold_fallback not in FALLBACKS:
             raise InvalidParameter(f"unknown cold_fallback '{self.cold_fallback}'")
         if not (self.iter_tolerance > 0.0):
             raise InvalidParameter("iter_tolerance must be positive")
-        if self.ppr_exact_cap < 1:
-            raise InvalidParameter("ppr_exact_cap must be at least 1")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -166,13 +166,10 @@ def cooccurrence(r: InteractionMatrix) -> ItemGraph:
     signal and is discarded.
     """
     m = r.matrix
-    gram = (m.T @ m).tocoo()
-    off = gram.row != gram.col
-    counts = sp.csr_matrix(
-        (gram.data[off], (gram.row[off], gram.col[off])),
-        shape=(r.n_items, r.n_items),
-        dtype=np.int64,
-    )
+    counts = (m.T @ m).tocsr()
+    # in place: every item with an interaction already stores its diagonal
+    counts.setdiag(0)
+    counts.eliminate_zeros()
     counts.sort_indices()
     return ItemGraph(counts, KIND_COUNTS, _row_nnz(counts))
 
@@ -224,12 +221,14 @@ class NormalizedOperator:
     of the adjacency, entry (i, j) = 1/(sqrt(d_i) sqrt(d_j)) for
     neighbors, with no self term. Zero-degree items give zero rows.
 
-    mode "ppr-exact": `matrix` is the dense personalized-PageRank
-    operator alpha * B^-1 with B = I - (1 - alpha) * A_sl.
-
     mode "ppr-iterative": `matrix` is the sparse self-loop normalized
     adjacency A_sl (diagonal 1/d_i, off-diagonal as above) used by the
-    fixed-point solver.
+    fixed-point solver, the only personalized-PageRank realization the
+    imputers run.
+
+    mode "ppr-exact": `matrix` is the dense personalized-PageRank
+    operator alpha * B^-1 with B = I - (1 - alpha) * A_sl, a reference
+    for small graphs that the fixed point must match.
     """
 
     base: ItemGraph
@@ -285,8 +284,9 @@ def ppr_exact(g: ItemGraph, alpha: float, cap: int = PPR_EXACT_CAP) -> Normalize
     """Dense personalized-PageRank diffusion operator alpha * B^-1.
 
     B = I - (1 - alpha) * A_sl, solved directly; isolated items reduce to
-    identity rows. Intended for small graphs; beyond `cap` items use the
-    iterative mode instead.
+    identity rows. A reference for small graphs, refused beyond `cap`
+    items; imputation realizes the same operator as a fixed point over
+    `ppr_iterative`.
     """
     _check_alpha(alpha)
     _require_binary(g)

@@ -20,13 +20,12 @@ import numpy as np
 from .errors import DivergentDiffusion, InconsistentData, InvalidParameter, NoObservedFeatures
 from .features import FALLBACKS, FeatureSet, ImputeConfig
 from .graph import (
-    MODE_PPR_EXACT,
     MODE_SYM,
     InteractionMatrix,
     ItemGraph,
     NormalizedOperator,
     cooccurrence,
-    ppr_exact,
+    ppr_exact,  # noqa: F401 -- unused; perfbench/tracer.py wraps imputers.ppr_exact by name
     ppr_iterative,
     sym_norm_adjacency,
     topk_sparsify,
@@ -215,8 +214,12 @@ def _ppr_fixed_point(
     """Fixed point of x = alpha * x0 + (1 - alpha) * A_sl @ x.
 
     Converges to alpha * B^-1 @ x0 when (1 - alpha) * rho(A_sl) < 1;
-    otherwise the residual stalls and the step cap trips.
+    otherwise the residual stalls and the step cap trips. `tolerance` is
+    relative: iteration stops once the largest change of a step is at
+    most `tolerance * max|x0|`, so the outcome does not depend on the
+    scale of the features, and an all-zero `x0` stops after one step.
     """
+    bound = tolerance * (float(np.max(np.abs(x0))) if x0.size else 0.0)
     target = alpha * x0
     x = x0.copy()
     residual = 0.0
@@ -224,11 +227,12 @@ def _ppr_fixed_point(
         x_next = target + (1.0 - alpha) * (a_sl @ x)
         residual = float(np.max(np.abs(x_next - x))) if x.size else 0.0
         x = x_next
-        if residual < tolerance:
+        if residual <= bound:
             return x, step, residual
     raise DivergentDiffusion(
-        f"personalized-PageRank fixed point did not reach residual {tolerance} "
-        f"within {step_cap} steps at alpha={alpha} (last residual {residual:.3e})"
+        f"personalized-PageRank fixed point did not reach residual {bound:.3e} "
+        f"({tolerance} relative to max |x0|) within {step_cap} steps at alpha={alpha} "
+        f"(last residual {residual:.3e})"
     )
 
 
@@ -237,11 +241,9 @@ def _pers_pagerank(
     g: ItemGraph,
     alpha: float,
     hops: int,
-    mode: str = "exact",
     iter_tolerance: float = 1e-8,
     clamp: bool = True,
     step_cap: int = FIXED_POINT_STEP_CAP,
-    exact_cap: int | None = None,
     on_iteration: IterationHook | None = None,
 ) -> tuple[FeatureSet, dict[str, dict]]:
     if hops < 1:
@@ -249,38 +251,25 @@ def _pers_pagerank(
     if not (iter_tolerance > 0.0):
         raise InvalidParameter("iter_tolerance must be positive")
     _check_graph(f, g)
-    stats: dict[str, dict] = {m: {} for m in f.modalities}
-    if mode == "exact":
-        kwargs = {} if exact_cap is None else {"cap": exact_cap}
-        diffusion = ppr_exact(g, alpha, **kwargs).matrix
-        # the full dense product, then the rows: keeps BLAS blocking, and
-        # so every bit, independent of how many rows are masked
-        out = _propagate(
-            f, hops, lambda m, rows: lambda x: _take_rows(diffusion @ x, rows), clamp, on_iteration
-        )
-    elif mode == "iterative":
-        a_sl = ppr_iterative(g, alpha).matrix
-        steps: dict[str, list[int]] = {m: [] for m in f.modalities}
-        residuals: dict[str, list[float]] = {m: [] for m in f.modalities}
+    a_sl = ppr_iterative(g, alpha).matrix
+    steps: dict[str, list[int]] = {m: [] for m in f.modalities}
+    residuals: dict[str, list[float]] = {m: [] for m in f.modalities}
 
-        def row_step(m, rows):
-            def step(x):
-                # the fixed point couples every row; only `rows` are kept
-                result, n_steps, residual = _ppr_fixed_point(
-                    a_sl, alpha, x, iter_tolerance, step_cap
-                )
-                steps[m].append(n_steps)
-                residuals[m].append(residual)
-                return _take_rows(result, rows)
+    def row_step(m, rows):
+        def step(x):
+            # the fixed point couples every row; only `rows` are kept
+            result, n_steps, residual = _ppr_fixed_point(a_sl, alpha, x, iter_tolerance, step_cap)
+            steps[m].append(n_steps)
+            residuals[m].append(residual)
+            return _take_rows(result, rows)
 
-            return step
+        return step
 
-        out = _propagate(f, hops, row_step, clamp, on_iteration)
-        for m in f.modalities:
-            stats[m]["fixed_point_steps"] = steps[m]
-            stats[m]["fixed_point_residuals"] = residuals[m]
-    else:
-        raise InvalidParameter(f"unknown ppr mode '{mode}'")
+    out = _propagate(f, hops, row_step, clamp, on_iteration)
+    stats = {
+        m: {"fixed_point_steps": steps[m], "fixed_point_residuals": residuals[m]}
+        for m in f.modalities
+    }
     return _cleared(f, out), stats
 
 
@@ -289,26 +278,25 @@ def impute_pers_pagerank(
     g: ItemGraph,
     alpha: float,
     hops: int,
-    mode: str = "exact",
     iter_tolerance: float = 1e-8,
     clamp: bool = True,
     step_cap: int = FIXED_POINT_STEP_CAP,
-    exact_cap: int | None = None,
     on_iteration: IterationHook | None = None,
 ) -> FeatureSet:
     """Propagate with the personalized-PageRank operator for `hops` steps.
 
-    "exact" applies the dense alpha * B^-1; "iterative" realizes each
-    application as a fixed point over the self-loop normalized adjacency
-    and matches the dense operator wherever the underlying series
-    converges. Observed rows stay pinned between applications, so clamped
-    hops keep only the masked rows of each application. A modality with
-    nothing masked is returned unchanged without solving anything.
+    Each application of alpha * B^-1 is realized as the fixed point of
+    x = alpha * x0 + (1 - alpha) * A_sl @ x over the self-loop normalized
+    adjacency, so no dense matrix is formed; it matches the dense operator
+    wherever the series converges. Observed rows stay pinned between
+    applications, so clamped hops keep only the masked rows of each
+    application. A modality with nothing masked is returned unchanged
+    without solving anything.
     """
     out, _ = _pers_pagerank(
         f, g, alpha, hops,
-        mode=mode, iter_tolerance=iter_tolerance, clamp=clamp,
-        step_cap=step_cap, exact_cap=exact_cap, on_iteration=on_iteration,
+        iter_tolerance=iter_tolerance, clamp=clamp, step_cap=step_cap,
+        on_iteration=on_iteration,
     )
     return out
 
@@ -376,9 +364,7 @@ def impute(
             out = _cold_fallback_pass(f, out, g, cfg.cold_fallback)
         else:
             out, stats = _pers_pagerank(
-                f, g, cfg.alpha, cfg.hops,
-                mode=cfg.ppr_mode, iter_tolerance=cfg.iter_tolerance,
-                clamp=cfg.clamp, exact_cap=cfg.ppr_exact_cap,
+                f, g, cfg.alpha, cfg.hops, iter_tolerance=cfg.iter_tolerance, clamp=cfg.clamp
             )
             out = _cold_fallback_pass(f, out, g, cfg.cold_fallback)
             for m in f.modalities:

@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from mmimpute import FeatureSet, InteractionMatrix
+from mmimpute import FeatureSet, InteractionMatrix, ppr_exact
 from mmimpute.graph import ItemGraph, KIND_BINARY, KIND_COUNTS
 
 
@@ -90,6 +90,23 @@ def brute_force_cooccurrence(r):
     return counts
 
 
+def coo_filter_cooccurrence(r):
+    """Gram product, COO copy, off-diagonal filter and CSR rebuild.
+
+    The reference `cooccurrence` must match array for array, dtypes
+    included.
+    """
+    gram = (r.matrix.T @ r.matrix).tocoo()
+    off = gram.row != gram.col
+    counts = sp.csr_matrix(
+        (gram.data[off], (gram.row[off], gram.col[off])),
+        shape=(r.n_items, r.n_items),
+        dtype=np.int64,
+    )
+    counts.sort_indices()
+    return counts
+
+
 def naive_neigh_mean(matrix, mask, graph, fallback_row):
     """Per-item neighbor-average loop over the zero-initialized matrix."""
     init = np.asarray(matrix, dtype=np.float64).copy()
@@ -155,3 +172,13 @@ def full_matrix_propagate(f, hops, apply_op, clamp):
         final[mask] = x[mask]
         out[m] = final
     return out
+
+
+def dense_ppr_propagate(f, g, alpha, hops, clamp=True):
+    """Personalized-PageRank propagation with the dense alpha * B^-1.
+
+    The oracle the fixed-point solver must match wherever its series
+    converges; `ppr_exact` refuses graphs beyond its cap.
+    """
+    diffusion = ppr_exact(g, alpha).matrix
+    return full_matrix_propagate(f, hops, lambda m, t, x: diffusion @ x, clamp)

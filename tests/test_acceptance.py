@@ -40,6 +40,7 @@ from mmimpute.io import read_feature_matrix, write_feature_matrix
 from helpers import (
     binary_graph,
     brute_force_cooccurrence,
+    dense_ppr_propagate,
     feature_set,
     naive_neigh_mean,
     permute_feature_set,
@@ -52,9 +53,10 @@ from helpers import (
 
 @pytest.mark.acceptance(name="PPR oracle equivalence (iterative vs dense, 1e-6)")
 def test_ppr_oracle_equivalence():
-    # 50 graphs x alpha {0.6, 0.75, 0.9}; the fixed point runs at 1e-10 so
-    # that solver error stays far below the 1e-6 agreement tolerance even
-    # after ten clamped applications (measured worst case: 1.6e-8)
+    # 50 graphs x alpha {0.6, 0.75, 0.9}; the fixed point runs at a relative
+    # 1e-10 so that solver error stays far below the 1e-6 agreement
+    # tolerance even after ten clamped applications (measured worst case:
+    # 7.0e-8)
     rng = np.random.default_rng(2024)
     for _ in range(50):
         n = int(rng.integers(3, 51))
@@ -62,12 +64,10 @@ def test_ppr_oracle_equivalence():
         f = random_feature_set(rng, n, dim=4)
         for alpha in (0.6, 0.75, 0.9):
             started = time.perf_counter()
-            exact = impute_pers_pagerank(f, g, alpha, 10, mode="exact")
-            iterative = impute_pers_pagerank(
-                f, g, alpha, 10, mode="iterative", iter_tolerance=1e-10
-            )
+            dense = dense_ppr_propagate(f, g, alpha, 10)["m"]
+            iterative = impute_pers_pagerank(f, g, alpha, 10, iter_tolerance=1e-10)
             elapsed = time.perf_counter() - started
-            gap = np.max(np.abs(exact.matrices["m"] - iterative.matrices["m"]))
+            gap = np.max(np.abs(dense - iterative.matrices["m"]))
             assert gap < 1e-6, f"n={n} alpha={alpha}: max gap {gap:.2e}"
             assert elapsed < 1.0, f"n={n} alpha={alpha}: {elapsed:.2f} s"
 
@@ -76,12 +76,12 @@ def test_ppr_oracle_equivalence():
 def test_ppr_closed_form_spot_check():
     g = binary_graph(2, [(0, 1)])
     f = feature_set([[1.0], [0.0]], [False, True])
-    exact = impute_pers_pagerank(f, g, 0.9, 1, mode="exact")
-    assert abs(exact.matrices["m"][1, 0] - 0.1125) < 1e-9
+    dense = dense_ppr_propagate(f, g, 0.9, 1)["m"]
+    assert abs(dense[1, 0] - 0.1125) < 1e-9
     with pytest.raises(SingularDiffusion):
         ppr_exact(g, 0.5)
     with pytest.raises(DivergentDiffusion):
-        impute_pers_pagerank(f, g, 0.5, 1, mode="iterative")
+        impute_pers_pagerank(f, g, 0.5, 1)
 
 
 @pytest.mark.acceptance(name="Cooccurrence matches brute-force intersection oracle")
@@ -137,8 +137,7 @@ def test_clamping_and_noninterference():
             impute_global_mean(f),
             impute_neigh_mean(f, g),
             impute_multihop(f, sym_norm_adjacency(g), 5, on_iteration=check),
-            impute_pers_pagerank(f, g, 0.85, 5, mode="exact", on_iteration=check),
-            impute_pers_pagerank(f, g, 0.85, 5, mode="iterative", on_iteration=check),
+            impute_pers_pagerank(f, g, 0.85, 5, on_iteration=check),
         ]
         for out in runs:
             assert out.matrices["m"][observed].tobytes() == pinned
@@ -246,7 +245,7 @@ def test_cli_run_determinism(tmp_path):
     for method, extra in (
         ("random", ["--seed", "5"]),
         ("multihop", ["--top-k", "5", "--hops", "6"]),
-        ("pers-pagerank", ["--top-k", "5", "--hops", "4", "--ppr-mode", "iterative"]),
+        ("pers-pagerank", ["--top-k", "5", "--hops", "4"]),
     ):
         digests = []
         for run in ("x", "y"):
@@ -304,8 +303,7 @@ def test_permutation_equivariance():
 
         serialized = {
             "multihop": lambda a, gg: impute_multihop(a, sym_norm_adjacency(gg), 10),
-            "ppr-exact": lambda a, gg: impute_pers_pagerank(a, gg, 0.85, 10, mode="exact"),
-            "ppr-iterative": lambda a, gg: impute_pers_pagerank(a, gg, 0.85, 10, mode="iterative"),
+            "pers-pagerank": lambda a, gg: impute_pers_pagerank(a, gg, 0.85, 10),
         }
         for name, run in serialized.items():
             base = run(f, g).matrices["m"].astype(np.float32)

@@ -126,10 +126,35 @@ def test_divergent_alpha_is_numerical_error(tmp_path):
         "--interactions", str(tmp_path / "r.tsv"),
         "--features", f"text={tmp_path / 'text.fmat'}",
         "--mask", str(tmp_path / "mask.tsv"),
-        "--method", "pers-pagerank", "--alpha", "0.5", "--ppr-mode", "iterative",
+        "--method", "pers-pagerank", "--alpha", "0.5",
         "--out", str(tmp_path / "x"),
     ])
     assert code == 3
+
+
+def test_impute_ppr_default_beyond_dense_cap(tmp_path):
+    # the default solver handles graphs past the 2,000-item dense cap;
+    # `--ppr-mode` accepts only `iterative`
+    n = 2001
+    pairs = "".join(f"u{i}\ti{i + d}\n" for i in range(n - 1) for d in (0, 1))
+    (tmp_path / "r.tsv").write_text(pairs)
+    feats = np.arange(2 * n, dtype=np.float32).reshape(n, 2)
+    feats[::7] = 0.0
+    write_feature_matrix(tmp_path / "text.fmat", feats)
+    (tmp_path / "mask.tsv").write_text("".join(f"i{i}\ttext\n" for i in range(0, n, 7)))
+    args = [
+        "impute",
+        "--interactions", str(tmp_path / "r.tsv"),
+        "--features", f"text={tmp_path / 'text.fmat'}",
+        "--mask", str(tmp_path / "mask.tsv"),
+        "--method", "pers-pagerank",
+    ]
+    assert main([*args, "--out", str(tmp_path / "x")]) == 0
+    report = json.loads((tmp_path / "x" / "report.json").read_text())
+    assert len(report["modalities"]["text"]["fixed_point_steps"]) == 10
+    with pytest.raises(SystemExit) as excinfo:
+        main([*args, "--ppr-mode", "exact", "--out", str(tmp_path / "y")])
+    assert excinfo.value.code == 1
 
 
 def test_masked_rows_must_be_placeholders(tmp_path):

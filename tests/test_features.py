@@ -80,9 +80,9 @@ def test_feature_set_shape_checks():
         {"method": "zeros", "alpha": 0.0},
         {"method": "zeros", "alpha": 1.0001},
         {"method": "zeros", "seed": -1},
-        {"method": "zeros", "ppr_mode": "dense"},
         {"method": "zeros", "cold_fallback": "mean"},
         {"method": "zeros", "iter_tolerance": 0.0},
+        {"method": "zeros", "iter_tolerance": float("nan")},
     ],
 )
 def test_impute_config_validation(kwargs):

@@ -18,6 +18,7 @@ from mmimpute.graph import InteractionMatrix, KIND_BINARY, KIND_COUNTS
 from helpers import (
     binary_graph,
     brute_force_cooccurrence,
+    coo_filter_cooccurrence,
     counts_graph,
     random_connected_graph,
     random_interactions,
@@ -82,6 +83,20 @@ def test_cooccurrence_matches_brute_force():
         r = random_interactions(rng)
         got = cooccurrence(r).adjacency.toarray()
         assert np.array_equal(got, brute_force_cooccurrence(r))
+
+
+def test_cooccurrence_arrays_match_coo_filter():
+    rng = np.random.default_rng(23)
+    cases = [random_interactions(rng) for _ in range(30)]
+    # an item with no interactions stores no diagonal entry to clear
+    cases.append(InteractionMatrix.from_pairs([(0, 0), (0, 1), (1, 1)], 2, 4))
+    for r in cases:
+        got = cooccurrence(r).adjacency
+        expected = coo_filter_cooccurrence(r)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.has_sorted_indices
 
 
 def test_cooccurrence_symmetry_and_determinism():

@@ -4,7 +4,6 @@ import pytest
 from mmimpute import (
     DivergentDiffusion,
     FeatureSet,
-    GraphTooLarge,
     ImputeConfig,
     InvalidParameter,
     NoObservedFeatures,
@@ -16,7 +15,6 @@ from mmimpute import (
     impute_pers_pagerank,
     impute_random,
     impute_zeros,
-    ppr_exact,
     ppr_iterative,
     sym_norm_adjacency,
 )
@@ -25,6 +23,7 @@ from mmimpute.imputers import _ppr_fixed_point
 
 from helpers import (
     binary_graph,
+    dense_ppr_propagate,
     feature_set,
     full_matrix_propagate,
     naive_neigh_mean,
@@ -177,17 +176,16 @@ def test_ppr_alpha_one_equals_zeros():
     g = random_connected_graph(rng, 10)
     f = random_feature_set(rng, 10)
     zeros = impute_zeros(f)
-    for mode in ("exact", "iterative"):
-        out = impute_pers_pagerank(f, g, 1.0, 3, mode=mode)
-        assert np.array_equal(out.matrices["m"], zeros.matrices["m"])
+    out = impute_pers_pagerank(f, g, 1.0, 3)
+    assert np.array_equal(out.matrices["m"], zeros.matrices["m"])
 
 
 def test_ppr_two_node_both_modes():
     g = binary_graph(2, [(0, 1)])
     f = feature_set([[1.0], [0.0]], [False, True])
-    exact = impute_pers_pagerank(f, g, 0.9, 1, mode="exact")
-    assert exact.matrices["m"][1, 0] == pytest.approx(0.1125, abs=1e-9)
-    iterative = impute_pers_pagerank(f, g, 0.9, 1, mode="iterative")
+    dense = dense_ppr_propagate(f, g, 0.9, 1)["m"]
+    assert dense[1, 0] == pytest.approx(0.1125, abs=1e-9)
+    iterative = impute_pers_pagerank(f, g, 0.9, 1)
     assert iterative.matrices["m"][1, 0] == pytest.approx(0.1125, abs=1e-6)
 
 
@@ -195,7 +193,7 @@ def test_ppr_divergent_at_half():
     g = binary_graph(2, [(0, 1)])
     f = feature_set([[1.0], [0.0]], [False, True])
     with pytest.raises(DivergentDiffusion):
-        impute_pers_pagerank(f, g, 0.5, 1, mode="iterative")
+        impute_pers_pagerank(f, g, 0.5, 1)
 
 
 def test_ppr_modes_agree():
@@ -205,9 +203,30 @@ def test_ppr_modes_agree():
         g = random_connected_graph(rng, n)
         f = random_feature_set(rng, n)
         for alpha in (0.6, 0.75, 0.9):
-            a = impute_pers_pagerank(f, g, alpha, 5, mode="exact")
-            b = impute_pers_pagerank(f, g, alpha, 5, mode="iterative", iter_tolerance=1e-10)
-            assert np.max(np.abs(a.matrices["m"] - b.matrices["m"])) < 1e-6
+            a = dense_ppr_propagate(f, g, alpha, 5)["m"]
+            b = impute_pers_pagerank(f, g, alpha, 5, iter_tolerance=1e-10)
+            assert np.max(np.abs(a - b.matrices["m"])) < 1e-6
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_ppr_fixed_point_is_scale_invariant(scale):
+    # the residual is relative to max|x0|: tiny features no longer stop
+    # after one step, and huge ones no longer stall into a false divergence
+    rng = np.random.default_rng(5)
+    g = random_connected_graph(rng, 300)
+    base = random_feature_set(rng, 300)
+    f = feature_set(scale * base.matrices["m"], base.masks["m"])
+    dense = dense_ppr_propagate(f, g, 0.85, 3)["m"]
+    out = impute_pers_pagerank(f, g, 0.85, 3).matrices["m"]
+    assert np.max(np.abs(out - dense)) <= 1e-6 * np.max(np.abs(dense))
+
+
+def test_ppr_fixed_point_zero_input_stops_at_once():
+    g = binary_graph(3, [(0, 1), (1, 2)])
+    a_sl = ppr_iterative(g, 0.85).matrix
+    x, steps, residual = _ppr_fixed_point(a_sl, 0.85, np.zeros((3, 2)), 1e-8, 500)
+    assert (steps, residual) == (1, 0.0)
+    assert not x.any()
 
 
 def test_masked_row_kernel_matches_full_matrix_loop():
@@ -228,16 +247,13 @@ def test_masked_row_kernel_matches_full_matrix_loop():
         hops = int(rng.integers(1, 6))
         alpha = 0.85
         s = sym_norm_adjacency(g).matrix
-        diffusion = ppr_exact(g, alpha).matrix
         a_sl = ppr_iterative(g, alpha).matrix
         runs = [
             (lambda: impute_multihop(f, sym_norm_adjacency(g), hops),
              lambda m, t, x: s @ x, True),
             (lambda: impute_multihop(f, sym_norm_adjacency(g), hops, clamp=False),
              lambda m, t, x: s @ x, False),
-            (lambda: impute_pers_pagerank(f, g, alpha, hops, mode="exact"),
-             lambda m, t, x: diffusion @ x, True),
-            (lambda: impute_pers_pagerank(f, g, alpha, hops, mode="iterative"),
+            (lambda: impute_pers_pagerank(f, g, alpha, hops),
              lambda m, t, x: _ppr_fixed_point(a_sl, alpha, x, 1e-8, 500)[0], True),
         ]
         for k, (run, apply_op, clamp) in enumerate(runs):
@@ -264,14 +280,13 @@ def test_fully_observed_modality_is_copied_through():
     runs = [
         impute_multihop(f, sym_norm_adjacency(g), 4, on_iteration=hook),
         impute_multihop(f, sym_norm_adjacency(g), 4, clamp=False, on_iteration=hook),
-        impute_pers_pagerank(f, g, 0.85, 4, mode="exact", on_iteration=hook),
-        impute_pers_pagerank(f, g, 0.85, 4, mode="iterative", on_iteration=hook),
+        impute_pers_pagerank(f, g, 0.85, 4, on_iteration=hook),
     ]
-    assert seen == ["text"] * 16
+    assert seen == ["text"] * 12
     for out in runs:
         assert out.matrices["visual"].tobytes() == full.tobytes()
     r = build_interaction_matrix([(f"u{i}", f"i{i + d}") for i in range(n - 1) for d in (0, 1)])
-    cfg = ImputeConfig(method="pers-pagerank", ppr_mode="iterative", hops=3)
+    cfg = ImputeConfig(method="pers-pagerank", hops=3)
     _, report = impute(f, r, cfg)
     assert len(report["modalities"]["text"]["fixed_point_steps"]) == 3
     assert report["modalities"]["visual"]["fixed_point_steps"] == []
@@ -283,7 +298,7 @@ def test_nothing_masked_never_diverges():
     # with nothing to impute nothing is propagated
     g = binary_graph(2, [(0, 1)])
     f = feature_set([[1.0], [2.0]], [False, False])
-    out = impute_pers_pagerank(f, g, 0.5, 1, mode="iterative")
+    out = impute_pers_pagerank(f, g, 0.5, 1)
     assert out.matrices["m"].tobytes() == f.matrices["m"].tobytes()
 
 
@@ -330,7 +345,7 @@ def test_clamping_holds_every_iteration():
     impute_multihop(f, sym_norm_adjacency(g), 6, on_iteration=check)
     assert seen == list(range(1, 7))
     seen.clear()
-    impute_pers_pagerank(f, g, 0.85, 6, mode="iterative", on_iteration=check)
+    impute_pers_pagerank(f, g, 0.85, 6, on_iteration=check)
     assert seen == list(range(1, 7))
 
 
@@ -394,11 +409,18 @@ def test_dispatch_zeros_matches_direct():
     assert "wall_s" in report["timing"]
 
 
-def test_dispatch_ppr_cap():
-    r, f = two_modality_dataset()
-    cfg = ImputeConfig(method="pers-pagerank", ppr_mode="exact", ppr_exact_cap=2)
-    with pytest.raises(GraphTooLarge):
-        impute(f, r, cfg)
+def test_dispatch_ppr_default_beyond_dense_cap():
+    # 2,101 items is past the 2,000-item cap of the dense solve; the
+    # default configuration runs the fixed point there
+    n = 2101
+    r = build_interaction_matrix([(f"u{i}", f"i{i + d}") for i in range(n - 1) for d in (0, 1)])
+    rng = np.random.default_rng(4)
+    f = random_feature_set(rng, n, dim=3)
+    out, report = impute(f, r, ImputeConfig(method="pers-pagerank"))
+    steps = report["modalities"]["m"]["fixed_point_steps"]
+    assert len(steps) == 10 and all(s >= 1 for s in steps)
+    observed = ~f.masks["m"]
+    assert out.matrices["m"][observed].tobytes() == f.matrices["m"][observed].tobytes()
 
 
 def test_dispatch_neigh_mean_isolated_zero_fallback():
@@ -421,7 +443,7 @@ def test_dispatch_cold_fallback_applies_to_diffusion():
 
 def test_dispatch_iterative_reports_steps():
     r, f = two_modality_dataset()
-    cfg = ImputeConfig(method="pers-pagerank", ppr_mode="iterative", hops=3)
+    cfg = ImputeConfig(method="pers-pagerank", hops=3)
     _, report = impute(f, r, cfg)
     for m in f.modalities:
         steps = report["modalities"][m]["fixed_point_steps"]
