@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, InconsistentData, InvalidParameter
-from .features import FeatureSet, GRAPH_METHODS, ImputeConfig, METHODS
+from .errors import EmptyDataset, InvalidParameter
+from .features import FeatureSet, GRAPH_METHODS, ImputeConfig, METHODS, check_row_count
 from .graph import InteractionMatrix, cooccurrence
 from .imputers import impute
 
@@ -72,16 +72,9 @@ class HiddenRows:
     values: dict[str, np.ndarray]
 
 
-def _check_consistent(r: InteractionMatrix, f: FeatureSet):
-    if f.n_items != r.n_items:
-        raise InconsistentData(
-            f"feature matrices have {f.n_items} rows but the dataset has {r.n_items} items"
-        )
-
-
 def dataset_stats(r: InteractionMatrix, f: FeatureSet) -> DatasetStats:
     """Exact counts of users, items, interactions and missing rows."""
-    _check_consistent(r, f)
+    check_row_count(f, r)
     return DatasetStats(r.n_users, r.n_items, r.n_interactions, f.missing_counts())
 
 
@@ -91,13 +84,12 @@ def drop_missing(
     """Remove items with any missing modality, then cascade-prune.
 
     Interactions touching removed items are dropped, then users left with
-    zero interactions. Surviving indices are reassigned by first
-    appearance in the row-major traversal of the surviving entries, so a
-    pruned dataset written to disk re-reads with identical indexing.
-    Items that had no interactions to begin with keep their relative
-    order at the end. Returns the pruned dataset plus before/after stats.
+    zero interactions. Surviving items are put in canonical order
+    (`InteractionMatrix.first_appearance_order`), so a pruned dataset
+    written to disk re-reads with identical indexing; items that had no
+    interactions to begin with keep their relative order at the end.
+    Returns the pruned dataset plus before/after stats.
     """
-    _check_consistent(r, f)
     before = dataset_stats(r, f)
     dropped = np.zeros(f.n_items, dtype=bool)
     for m in f.modalities:
@@ -107,49 +99,17 @@ def drop_missing(
     if not dropped.any():
         return r, f, before, before
 
-    coo = r.matrix.tocoo()
-    keep = ~dropped[coo.col]
-    rows, cols = coo.row[keep], coo.col[keep]
-    if rows.size == 0:
+    kept_items = np.flatnonzero(~dropped)
+    kept_users = np.flatnonzero(np.diff(r.matrix[:, kept_items].indptr))
+    if kept_users.size == 0:
         raise EmptyDataset("no interactions survive the drop")
-
-    kept_users = np.unique(rows)  # ascending: preserves user order
-    user_new = np.full(r.n_users, -1, dtype=np.int64)
-    user_new[kept_users] = np.arange(kept_users.size)
-
-    order = np.lexsort((cols, rows))  # row-major traversal
-    traversal_cols = cols[order]
-    _, first_pos = np.unique(traversal_cols, return_index=True)
-    appearance = traversal_cols[np.sort(first_pos)]
-    item_new = np.full(r.n_items, -1, dtype=np.int64)
-    item_new[appearance] = np.arange(appearance.size)
-    # kept items that never appear in an interaction go last, in old order
-    unseen = np.flatnonzero(~dropped & (item_new < 0))
-    item_new[unseen] = np.arange(appearance.size, appearance.size + unseen.size)
-    n_items_after = appearance.size + unseen.size
-
-    matrix = InteractionMatrix.from_pairs(
-        zip(user_new[rows], item_new[cols]),
-        kept_users.size,
-        n_items_after,
-        user_ids=tuple(r.user_ids[u] for u in kept_users),
-        item_ids=_reordered_ids(r.item_ids, item_new),
-    )
-    old_of_new = np.empty(n_items_after, dtype=np.int64)
-    kept_items = np.flatnonzero(item_new >= 0)
-    old_of_new[item_new[kept_items]] = kept_items
-    matrices = {m: f.matrices[m][old_of_new] for m in f.modalities}
-    pruned = FeatureSet.create([(m, matrices[m]) for m in f.modalities])
+    kept = r.select(kept_users, kept_items)
+    order = kept.first_appearance_order()
+    matrix = kept.select(np.arange(kept.n_users), order)
+    old_of_new = kept_items[order]
+    pruned = FeatureSet.create([(m, f.matrices[m][old_of_new]) for m in f.modalities])
     after = dataset_stats(matrix, pruned)
     return matrix, pruned, before, after
-
-
-def _reordered_ids(ids: Sequence[str], new_index: np.ndarray) -> tuple[str, ...]:
-    kept = np.flatnonzero(new_index >= 0)
-    out = [""] * kept.size
-    for old in kept:
-        out[new_index[old]] = ids[old]
-    return tuple(out)
 
 
 def mask_features(f: FeatureSet, fraction: float, seed: int) -> tuple[FeatureSet, HiddenRows]:
@@ -252,7 +212,7 @@ def synth_generate(
     rows, cols = np.nonzero(edges)
     if rows.size == 0:
         raise EmptyDataset("no interactions were sampled; raise p_in/p_out or the sizes")
-    r = InteractionMatrix.from_pairs(zip(rows, cols), n_users, n_items)
+    r = InteractionMatrix.from_pairs(np.column_stack((rows, cols)), n_users, n_items)
     matrices = []
     for name, dim in dims:
         if dim < 1:

@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InconsistentData, InvalidParameter
 from .graph import InteractionMatrix
 
 METHODS = ("zeros", "random", "global-mean", "neigh-mean", "multihop", "pers-pagerank")
@@ -82,6 +82,14 @@ class FeatureSet:
         return cls(names, mats, masks)
 
 
+def check_row_count(f: FeatureSet, r: InteractionMatrix):
+    """Raise InconsistentData unless `f` has one row per item of `r`."""
+    if f.n_items != r.n_items:
+        raise InconsistentData(
+            f"feature matrices have {f.n_items} rows but the dataset has {r.n_items} items"
+        )
+
+
 @dataclass(frozen=True)
 class ImputeConfig:
     """Method selector plus hyper-parameters for the dispatcher.
@@ -146,10 +154,10 @@ def validate(f: FeatureSet, r: InteractionMatrix) -> ValidationReport:
     observed rows, and the all-zero placeholder contract of masked rows.
     """
     problems: list[str] = []
-    if f.n_items != r.n_items:
-        problems.append(
-            f"feature matrices have {f.n_items} rows but the dataset has {r.n_items} items"
-        )
+    try:
+        check_row_count(f, r)
+    except InconsistentData as exc:
+        problems.append(str(exc))
     for m in f.modalities:
         mat, mask = f.matrices[m], f.masks[m]
         observed = ~mask

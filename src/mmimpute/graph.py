@@ -84,10 +84,34 @@ class InteractionMatrix:
             for i in indices[indptr[u]:indptr[u + 1]]:
                 yield u, int(i)
 
+    def first_appearance_order(self) -> np.ndarray:
+        """Old index of each item in canonical order.
+
+        Items come in order of first appearance in the row-major entry
+        stream (`matrix.indices`), then items with no entry, in index
+        order. Writing a dataset reindexed this way and reading it back
+        reproduces the same indexing.
+        """
+        stream = self.matrix.indices
+        _, first_pos = np.unique(stream, return_index=True)
+        seen = np.zeros(self.n_items, dtype=bool)
+        seen[stream] = True
+        return np.concatenate([stream[np.sort(first_pos)], np.flatnonzero(~seen)])
+
+    def select(self, users: np.ndarray, items: np.ndarray) -> "InteractionMatrix":
+        """Rows `users` and columns `items` of the matrix, in that order, with their ids."""
+        matrix = self.matrix[users][:, items]
+        matrix.sort_indices()
+        return InteractionMatrix(
+            matrix,
+            tuple(self.user_ids[u] for u in users.tolist()),
+            tuple(self.item_ids[i] for i in items.tolist()),
+        )
+
     @classmethod
     def from_pairs(
         cls,
-        pairs: Iterable[tuple[int, int]],
+        pairs: Iterable[tuple[int, int]] | np.ndarray,
         n_users: int,
         n_items: int,
         user_ids: Sequence[str] | None = None,
@@ -95,15 +119,19 @@ class InteractionMatrix:
     ) -> "InteractionMatrix":
         """Build from integer index pairs with fixed dimensions.
 
-        Unlike `build_interaction_matrix`, rows and columns without any
-        interaction are preserved.
+        `pairs` is an iterable of (user, item) pairs or an (n, 2) integer
+        array. Unlike `build_interaction_matrix`, rows and columns without
+        any interaction are preserved.
         """
-        rows, cols = [], []
-        for u, i in pairs:
-            if not (0 <= u < n_users and 0 <= i < n_items):
-                raise InvalidParameter(f"entry ({u}, {i}) out of range")
-            rows.append(u)
-            cols.append(i)
+        pairs = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+        if pairs.size and pairs.shape[1:] != (2,):
+            raise InvalidParameter(f"expected (user, item) pairs, got shape {pairs.shape}")
+        pairs = pairs.reshape(-1, 2)
+        rows, cols = pairs.T
+        bad = (rows < 0) | (rows >= n_users) | (cols < 0) | (cols >= n_items)
+        if bad.any():
+            u, i = pairs[np.argmax(bad)]
+            raise InvalidParameter(f"entry ({u}, {i}) out of range")
         if user_ids is None:
             user_ids = tuple(f"u{k}" for k in range(n_users))
         if item_ids is None:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergentDiffusion, InconsistentData, InvalidParameter, NoObservedFeatures
-from .features import FALLBACKS, FeatureSet, ImputeConfig
+from .features import FALLBACKS, FeatureSet, ImputeConfig, check_row_count
 from .graph import (
     MODE_SYM,
     InteractionMatrix,
@@ -209,7 +209,7 @@ def impute_multihop(
 
 
 def _ppr_fixed_point(
-    a_sl, alpha: float, x0: np.ndarray, tolerance: float, step_cap: int
+    a_sl, alpha: float, x0: np.ndarray, tolerance: float
 ) -> tuple[np.ndarray, int, float]:
     """Fixed point of x = alpha * x0 + (1 - alpha) * A_sl @ x.
 
@@ -223,7 +223,7 @@ def _ppr_fixed_point(
     target = alpha * x0
     x = x0.copy()
     residual = 0.0
-    for step in range(1, step_cap + 1):
+    for step in range(1, FIXED_POINT_STEP_CAP + 1):
         x_next = target + (1.0 - alpha) * (a_sl @ x)
         residual = float(np.max(np.abs(x_next - x))) if x.size else 0.0
         x = x_next
@@ -231,8 +231,8 @@ def _ppr_fixed_point(
             return x, step, residual
     raise DivergentDiffusion(
         f"personalized-PageRank fixed point did not reach residual {bound:.3e} "
-        f"({tolerance} relative to max |x0|) within {step_cap} steps at alpha={alpha} "
-        f"(last residual {residual:.3e})"
+        f"({tolerance} relative to max |x0|) within {FIXED_POINT_STEP_CAP} steps "
+        f"at alpha={alpha} (last residual {residual:.3e})"
     )
 
 
@@ -243,7 +243,6 @@ def _pers_pagerank(
     hops: int,
     iter_tolerance: float = 1e-8,
     clamp: bool = True,
-    step_cap: int = FIXED_POINT_STEP_CAP,
     on_iteration: IterationHook | None = None,
 ) -> tuple[FeatureSet, dict[str, dict]]:
     if hops < 1:
@@ -258,7 +257,7 @@ def _pers_pagerank(
     def row_step(m, rows):
         def step(x):
             # the fixed point couples every row; only `rows` are kept
-            result, n_steps, residual = _ppr_fixed_point(a_sl, alpha, x, iter_tolerance, step_cap)
+            result, n_steps, residual = _ppr_fixed_point(a_sl, alpha, x, iter_tolerance)
             steps[m].append(n_steps)
             residuals[m].append(residual)
             return _take_rows(result, rows)
@@ -280,7 +279,6 @@ def impute_pers_pagerank(
     hops: int,
     iter_tolerance: float = 1e-8,
     clamp: bool = True,
-    step_cap: int = FIXED_POINT_STEP_CAP,
     on_iteration: IterationHook | None = None,
 ) -> FeatureSet:
     """Propagate with the personalized-PageRank operator for `hops` steps.
@@ -295,8 +293,7 @@ def impute_pers_pagerank(
     """
     out, _ = _pers_pagerank(
         f, g, alpha, hops,
-        iter_tolerance=iter_tolerance, clamp=clamp, step_cap=step_cap,
-        on_iteration=on_iteration,
+        iter_tolerance=iter_tolerance, clamp=clamp, on_iteration=on_iteration,
     )
     return out
 
@@ -337,10 +334,7 @@ def impute(
     configuration echo, per-modality counts and diffusion diagnostics.
     `counts_graph` lets sweeps reuse the co-interaction counts.
     """
-    if f.n_items != r.n_items:
-        raise InconsistentData(
-            f"feature matrices have {f.n_items} rows but the dataset has {r.n_items} items"
-        )
+    check_row_count(f, r)
     started = time.perf_counter()
     details: dict[str, dict] = {
         m: {"imputed_rows": int(f.masks[m].sum()), "dim": f.dim(m)} for m in f.modalities

@@ -8,7 +8,10 @@ are text, one "item_id<TAB>modality_name" per line, resolved against
 the interaction vocabulary.
 
 Feature rows are keyed by item index, i.e. by first appearance of the
-item id in the interactions file.
+item id in the interactions file. `write_dataset` writes in the
+canonical order owned by `InteractionMatrix.first_appearance_order`, so
+a written dataset re-reads with identical indexing. An input that cannot
+be read or is not UTF-8 raises ParseError (text) or FormatError (.fmat).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     EmptyDataset,
@@ -28,7 +30,7 @@ from .errors import (
     UnknownItem,
     UnknownModality,
 )
-from .features import FeatureSet
+from .features import FeatureSet, check_row_count
 from .graph import InteractionMatrix, build_interaction_matrix
 
 FEATURE_MAGIC = b"FMATv1\x00\x00"
@@ -36,8 +38,18 @@ _HEADER = struct.Struct("<8sQQ")
 
 
 def _data_lines(path):
-    with open(path, encoding="utf-8") as handle:
+    try:
+        # undecodable bytes become lone surrogates, so the bad line is known
+        handle = open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
+    with handle:
         for lineno, raw in enumerate(handle, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(f"{path}:{lineno}: not UTF-8 text") from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -63,14 +75,19 @@ def read_interactions(path) -> InteractionMatrix:
 
 
 def write_interactions(path, r: InteractionMatrix):
+    """One "user_id<TAB>item_id" line per entry, in row-major order."""
+    users = np.repeat(np.asarray(r.user_ids, dtype=object), np.diff(r.matrix.indptr))
+    items = np.asarray(r.item_ids, dtype=object)[r.matrix.indices]
     with open(path, "w", encoding="utf-8") as handle:
-        for u, i in r.iter_entries():
-            handle.write(f"{r.user_ids[u]}\t{r.item_ids[i]}\n")
+        handle.write("".join((users + "\t" + items + "\n").tolist()))
 
 
 def read_feature_matrix(path) -> np.ndarray:
     """Load one modality's matrix; returns float64 widened from float32."""
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
     if len(data) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
     magic, n_items, dim = _HEADER.unpack_from(data)
@@ -162,11 +179,12 @@ def write_feature_set(directory, f: FeatureSet) -> dict[str, str]:
 def canonicalize_dataset(
     r: InteractionMatrix, f: FeatureSet | None = None
 ) -> tuple[InteractionMatrix, FeatureSet | None]:
-    """Reindex items by first appearance in the row-major entry traversal.
+    """Reindex items into canonical order (`first_appearance_order`).
 
     A dataset in canonical order survives a write/read cycle with
-    identical indexing. Items or users without interactions cannot be
-    represented in the interaction file and are rejected.
+    identical indexing and is returned as is. Items or users without
+    interactions cannot be represented in the interaction file and are
+    rejected.
     """
     counts_u = np.diff(r.matrix.indptr)
     if (counts_u == 0).any():
@@ -174,45 +192,30 @@ def canonicalize_dataset(
         raise InconsistentData(
             f"users without interactions cannot be serialized: {', '.join(bad)}"
         )
-    stream = r.matrix.indices  # row-major column stream
     seen = np.zeros(r.n_items, dtype=bool)
-    seen[stream] = True
+    seen[r.matrix.indices] = True
     if not seen.all():
         bad = [r.item_ids[i] for i in np.flatnonzero(~seen)[:5]]
         raise InconsistentData(
             f"items without interactions cannot be serialized: {', '.join(bad)}"
         )
-    _, first_pos = np.unique(stream, return_index=True)
-    appearance = stream[np.sort(first_pos)]
-    item_new = np.empty(r.n_items, dtype=np.int64)
-    item_new[appearance] = np.arange(r.n_items)
-    if (item_new == np.arange(r.n_items)).all():
+    order = r.first_appearance_order()
+    if (order == np.arange(r.n_items)).all():
         return r, f
-    coo = r.matrix.tocoo()
-    matrix = InteractionMatrix.from_pairs(
-        zip(coo.row, item_new[coo.col]),
-        r.n_users,
-        r.n_items,
-        user_ids=r.user_ids,
-        item_ids=tuple(r.item_ids[i] for i in appearance),
-    )
+    matrix = r.select(np.arange(r.n_users), order)
     if f is None:
         return matrix, None
-    old_of_new = appearance
     reordered = FeatureSet(
         f.modalities,
-        {m: f.matrices[m][old_of_new] for m in f.modalities},
-        {m: f.masks[m][old_of_new] for m in f.modalities},
+        {m: f.matrices[m][order] for m in f.modalities},
+        {m: f.masks[m][order] for m in f.modalities},
     )
     return matrix, reordered
 
 
 def write_dataset(directory, r: InteractionMatrix, f: FeatureSet) -> dict:
     """Write interactions plus feature files in canonical index order."""
-    if f.n_items != r.n_items:
-        raise InconsistentData(
-            f"feature matrices have {f.n_items} rows but the dataset has {r.n_items} items"
-        )
+    check_row_count(f, r)
     r2, f2 = canonicalize_dataset(r, f)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

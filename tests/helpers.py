@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
-from mmimpute import FeatureSet, InteractionMatrix, ppr_exact
+from mmimpute import EmptyDataset, FeatureSet, InconsistentData, InteractionMatrix, ppr_exact
 from mmimpute.graph import ItemGraph, KIND_BINARY, KIND_COUNTS
 
 
@@ -182,3 +182,102 @@ def dense_ppr_propagate(f, g, alpha, hops, clamp=True):
     """
     diffusion = ppr_exact(g, alpha).matrix
     return full_matrix_propagate(f, hops, lambda m, t, x: diffusion @ x, clamp)
+
+
+def _reordered_ids(ids, new_index):
+    kept = np.flatnonzero(new_index >= 0)
+    out = [""] * kept.size
+    for old in kept:
+        out[new_index[old]] = ids[old]
+    return tuple(out)
+
+
+def lexsort_drop_reindex(r, f):
+    """Drop items with a missing modality and reindex pair by pair.
+
+    Lexsorts the surviving entries, finds first appearances with
+    `np.unique`, appends kept items without entries in old order, and
+    rebuilds the matrix from zipped index pairs. The reference
+    `drop_missing` must match array for array, dtypes included.
+    """
+    dropped = np.zeros(f.n_items, dtype=bool)
+    for m in f.modalities:
+        dropped |= f.masks[m]
+    if dropped.all():
+        raise EmptyDataset("every item has a missing modality")
+    if not dropped.any():
+        return r, f
+    coo = r.matrix.tocoo()
+    keep = ~dropped[coo.col]
+    rows, cols = coo.row[keep], coo.col[keep]
+    if rows.size == 0:
+        raise EmptyDataset("no interactions survive the drop")
+    kept_users = np.unique(rows)
+    user_new = np.full(r.n_users, -1, dtype=np.int64)
+    user_new[kept_users] = np.arange(kept_users.size)
+    order = np.lexsort((cols, rows))
+    traversal_cols = cols[order]
+    _, first_pos = np.unique(traversal_cols, return_index=True)
+    appearance = traversal_cols[np.sort(first_pos)]
+    item_new = np.full(r.n_items, -1, dtype=np.int64)
+    item_new[appearance] = np.arange(appearance.size)
+    unseen = np.flatnonzero(~dropped & (item_new < 0))
+    item_new[unseen] = np.arange(appearance.size, appearance.size + unseen.size)
+    n_items_after = appearance.size + unseen.size
+    matrix = InteractionMatrix.from_pairs(
+        zip(user_new[rows], item_new[cols]),
+        kept_users.size,
+        n_items_after,
+        user_ids=tuple(r.user_ids[u] for u in kept_users),
+        item_ids=_reordered_ids(r.item_ids, item_new),
+    )
+    old_of_new = np.empty(n_items_after, dtype=np.int64)
+    kept_items = np.flatnonzero(item_new >= 0)
+    old_of_new[item_new[kept_items]] = kept_items
+    return matrix, FeatureSet.create([(m, f.matrices[m][old_of_new]) for m in f.modalities])
+
+
+def unique_canonicalize(r, f):
+    """Canonical reindex through `np.unique` and zipped index pairs.
+
+    The reference `canonicalize_dataset` must match array for array.
+    """
+    counts_u = np.diff(r.matrix.indptr)
+    if (counts_u == 0).any():
+        bad = [r.user_ids[u] for u in np.flatnonzero(counts_u == 0)[:5]]
+        raise InconsistentData(
+            f"users without interactions cannot be serialized: {', '.join(bad)}"
+        )
+    stream = r.matrix.indices
+    seen = np.zeros(r.n_items, dtype=bool)
+    seen[stream] = True
+    if not seen.all():
+        bad = [r.item_ids[i] for i in np.flatnonzero(~seen)[:5]]
+        raise InconsistentData(
+            f"items without interactions cannot be serialized: {', '.join(bad)}"
+        )
+    _, first_pos = np.unique(stream, return_index=True)
+    appearance = stream[np.sort(first_pos)]
+    item_new = np.empty(r.n_items, dtype=np.int64)
+    item_new[appearance] = np.arange(r.n_items)
+    if (item_new == np.arange(r.n_items)).all():
+        return r, f
+    coo = r.matrix.tocoo()
+    matrix = InteractionMatrix.from_pairs(
+        zip(coo.row, item_new[coo.col]),
+        r.n_users,
+        r.n_items,
+        user_ids=r.user_ids,
+        item_ids=tuple(r.item_ids[i] for i in appearance),
+    )
+    reordered = FeatureSet(
+        f.modalities,
+        {m: f.matrices[m][appearance] for m in f.modalities},
+        {m: f.masks[m][appearance] for m in f.modalities},
+    )
+    return matrix, reordered
+
+
+def entry_lines(r):
+    """Interaction-file text written one entry at a time."""
+    return "".join(f"{r.user_ids[u]}\t{r.item_ids[i]}\n" for u, i in r.iter_entries())

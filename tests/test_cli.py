@@ -117,6 +117,21 @@ def test_parse_error_is_data_error(tmp_path):
     assert code == 2
 
 
+def test_non_utf8_interactions_is_data_error(tmp_path, capsys):
+    args = tiny_dataset(tmp_path)
+    (tmp_path / "r.tsv").write_bytes(b"u1\ta\n\xff\xfe\n")
+    assert main(["stats", *args]) == 2
+    assert f"{tmp_path / 'r.tsv'}:2: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["r.tsv", "text.fmat", "mask.tsv"])
+def test_missing_input_is_data_error(tmp_path, capsys, missing):
+    args = tiny_dataset(tmp_path)
+    (tmp_path / missing).unlink()
+    assert main(["stats", *args]) == 2
+    assert f"{tmp_path / missing}: cannot read" in capsys.readouterr().err
+
+
 def test_divergent_alpha_is_numerical_error(tmp_path):
     (tmp_path / "r.tsv").write_text("u1\ta\nu1\tb\n")
     write_feature_matrix(tmp_path / "text.fmat", np.array([[1.0], [0.0]], dtype=np.float32))

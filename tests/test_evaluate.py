@@ -5,6 +5,7 @@ from mmimpute import (
     EmptyDataset,
     FeatureSet,
     HiddenRows,
+    InconsistentData,
     InvalidParameter,
     build_interaction_matrix,
     dataset_stats,
@@ -15,8 +16,15 @@ from mmimpute import (
     synth_generate,
 )
 from mmimpute.graph import InteractionMatrix
+from mmimpute.io import canonicalize_dataset, write_interactions
 
-from helpers import feature_set, random_interactions
+from helpers import (
+    entry_lines,
+    feature_set,
+    lexsort_drop_reindex,
+    random_interactions,
+    unique_canonicalize,
+)
 
 
 def small_dataset():
@@ -129,6 +137,112 @@ def test_drop_missing_preserves_isolated_items():
     r2, f2, before, after = drop_missing(r, f)
     assert after.n_items == 2
     assert r2.item_ids == ("i0", "i2")  # isolated kept item goes last
+
+
+def random_reindex_case(rng, isolated):
+    """Random dataset with shuffled ids and two modalities.
+
+    With `isolated`, one item column is emptied; otherwise every user and
+    item has at least one interaction. The masks are drawn separately.
+    """
+    n_users = int(rng.integers(1, 25))
+    n_items = int(rng.integers(2, 25))
+    dense = rng.random((n_users, n_items)) < rng.uniform(0.05, 0.5)
+    if isolated:
+        dense[:, rng.integers(0, n_items)] = False
+    else:
+        dense[rng.integers(0, n_users, n_items), np.arange(n_items)] = True
+        dense[np.arange(n_users), rng.integers(0, n_items, n_users)] = True
+    rows, cols = np.nonzero(dense)
+    r = InteractionMatrix.from_pairs(
+        np.column_stack((rows, cols)),
+        n_users,
+        n_items,
+        user_ids=tuple(f"user{k}" for k in rng.permutation(n_users)),
+        item_ids=tuple(f"item{k}" for k in rng.permutation(n_items)),
+    )
+    matrices = [
+        ("text", rng.standard_normal((n_items, 3))),
+        ("visual", rng.standard_normal((n_items, 2))),
+    ]
+    return r, matrices
+
+
+def random_masks(rng, n_items, kind):
+    masks = {"text": np.zeros(n_items, dtype=bool), "visual": np.zeros(n_items, dtype=bool)}
+    if kind == "all-but-one":
+        masks["text"][:] = True
+        masks["text"][rng.integers(0, n_items)] = False
+    elif kind == "random":
+        masks["text"] = rng.random(n_items) < 0.3
+        masks["visual"] = rng.random(n_items) < 0.1
+    return masks
+
+
+def assert_same_dataset(got, want):
+    (r1, f1), (r2, f2) = got, want
+    assert r1.matrix.shape == r2.matrix.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(r1.matrix, name), getattr(r2.matrix, name)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert r1.user_ids == r2.user_ids
+    assert r1.item_ids == r2.item_ids
+    assert f1.modalities == f2.modalities
+    for m in f2.modalities:
+        assert f1.matrices[m].tobytes() == f2.matrices[m].tobytes()
+        assert f1.masks[m].tobytes() == f2.masks[m].tobytes()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EmptyDataset, InconsistentData) as exc:
+        return type(exc), str(exc)
+
+
+def test_reindex_matches_pair_oracles(tmp_path):
+    rng = np.random.default_rng(11)
+    seen = {"isolated": 0, "all-but-one": 0, "reordered": 0}
+    for case in range(60):
+        isolated = case % 2 == 0
+        kind = ("all-but-one", "random", "none")[case % 3]
+        r, matrices = random_reindex_case(rng, isolated)
+        f = FeatureSet.create(matrices, random_masks(rng, r.n_items, kind))
+        seen["isolated"] += isolated
+        seen["all-but-one"] += kind == "all-but-one"
+
+        want = outcome(lexsort_drop_reindex, r, f)
+        got = outcome(lambda: drop_missing(r, f)[:2])
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert_same_dataset(got, want)
+
+        want = outcome(unique_canonicalize, r, f)
+        got = outcome(canonicalize_dataset, r, f)
+        if isinstance(want[0], type):
+            assert got == want
+            continue
+        assert_same_dataset(got, want)
+        seen["reordered"] += got[0] is not r
+        write_interactions(tmp_path / "r.tsv", got[0])
+        assert (tmp_path / "r.tsv").read_text(encoding="utf-8") == entry_lines(got[0])
+    assert min(seen.values()) >= 10, seen
+
+
+def test_drop_output_is_canonical():
+    rng = np.random.default_rng(12)
+    for case in range(50):
+        r, matrices = random_reindex_case(rng, isolated=False)
+        masks = random_masks(rng, r.n_items, ("all-but-one", "random")[case % 2])
+        if not masks["text"].any():
+            masks["text"][rng.integers(0, r.n_items)] = True
+        if (masks["text"] | masks["visual"]).all():
+            continue
+        r2, f2, _, _ = drop_missing(r, FeatureSet.create(matrices, masks))
+        r3, f3 = canonicalize_dataset(r2, f2)
+        assert r3 is r2 and f3 is f2
 
 
 def test_mask_features_counts_and_determinism():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,27 @@ def test_build_interaction_matrix_empty():
 def test_interaction_matrix_rejects_duplicate_ids():
     with pytest.raises(InvalidParameter):
         InteractionMatrix.from_pairs([(0, 0)], 2, 1, user_ids=("u", "u"), item_ids=("i",))
+
+
+@pytest.mark.parametrize(
+    "pairs, bad",
+    [
+        ([(0, 0), (-1, 1), (5, 0)], "(-1, 1)"),
+        ([(1, 1), (2, 0), (2, 3)], "(2, 0)"),
+        (np.array([[0, 0], [1, 3], [-1, 0]]), "(1, 3)"),
+    ],
+    ids=["negative-user", "user-at-n_users", "item-at-n_items"],
+)
+def test_from_pairs_rejects_out_of_range(pairs, bad):
+    # 2 users, 3 items; the message names the first bad pair
+    with pytest.raises(InvalidParameter, match=re.escape(f"entry {bad} out of range")):
+        InteractionMatrix.from_pairs(pairs, 2, 3)
+
+
+def test_from_pairs_rejects_non_pairs():
+    with pytest.raises(InvalidParameter, match="expected"):
+        InteractionMatrix.from_pairs([(0, 1, 0), (1, 0, 0)], 2, 3)
+    assert InteractionMatrix.from_pairs([], 2, 3).n_interactions == 0
 
 
 def test_cooccurrence_shared_users():

@@ -224,7 +224,7 @@ def test_ppr_fixed_point_is_scale_invariant(scale):
 def test_ppr_fixed_point_zero_input_stops_at_once():
     g = binary_graph(3, [(0, 1), (1, 2)])
     a_sl = ppr_iterative(g, 0.85).matrix
-    x, steps, residual = _ppr_fixed_point(a_sl, 0.85, np.zeros((3, 2)), 1e-8, 500)
+    x, steps, residual = _ppr_fixed_point(a_sl, 0.85, np.zeros((3, 2)), 1e-8)
     assert (steps, residual) == (1, 0.0)
     assert not x.any()
 
@@ -254,7 +254,7 @@ def test_masked_row_kernel_matches_full_matrix_loop():
             (lambda: impute_multihop(f, sym_norm_adjacency(g), hops, clamp=False),
              lambda m, t, x: s @ x, False),
             (lambda: impute_pers_pagerank(f, g, alpha, hops),
-             lambda m, t, x: _ppr_fixed_point(a_sl, alpha, x, 1e-8, 500)[0], True),
+             lambda m, t, x: _ppr_fixed_point(a_sl, alpha, x, 1e-8)[0], True),
         ]
         for k, (run, apply_op, clamp) in enumerate(runs):
             expected = full_matrix_propagate(f, hops, apply_op, clamp)["m"]

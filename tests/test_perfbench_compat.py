@@ -36,6 +36,23 @@ def tiny_dataset(tmp_path):
     ]
 
 
+def traced_run(tmp_path, command, flags):
+    """Run one CLI command under the tracer; returns its spans file as JSON."""
+    spans = tmp_path / "spans.json"
+    src = str(ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans),
+            command, *tiny_dataset(tmp_path), *flags, "--out", str(tmp_path / "out"),
+        ],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(spans.read_text())
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -45,19 +62,13 @@ def tiny_dataset(tmp_path):
     ids=["pers-pagerank", "multihop"],
 )
 def test_traced_impute_runs(tmp_path, flags):
-    spans = tmp_path / "spans.json"
-    src = str(ROOT / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [
-            sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans),
-            "impute", *tiny_dataset(tmp_path), *flags, "--out", str(tmp_path / "out"),
-        ],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    counts = json.loads(spans.read_text())["counts"]
+    counts = traced_run(tmp_path, "impute", flags)["counts"]
     assert counts["imputers.hops"] == 10
     if flags[1] == "pers-pagerank":
         assert counts["imputers.fixed_point_steps"] > 0
+
+
+def test_traced_drop_runs(tmp_path):
+    # the beauty-drop workload: parse, drop_missing, write_dataset
+    names = {span[2] for span in traced_run(tmp_path, "drop", [])["spans"]}
+    assert {"evaluate.drop_missing", "io.write_dataset"} <= names
