@@ -145,17 +145,27 @@ def build_interaction_matrix(pairs: Iterable[tuple[str, str]]) -> InteractionMat
 
     Duplicate (user, item) pairs collapse to a single entry.
     """
-    users: dict[str, int] = {}
-    items: dict[str, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    for user_id, item_id in pairs:
-        rows.append(users.setdefault(user_id, len(users)))
-        cols.append(items.setdefault(item_id, len(items)))
-    if not rows:
+    columns = tuple(zip(*pairs))
+    if not columns:
         raise EmptyDataset("no interactions")
-    matrix = _binary_csr(rows, cols, (len(users), len(items)))
-    return InteractionMatrix(matrix, tuple(users), tuple(items))
+    users, items = columns
+    return interactions_from_ids(users, items)
+
+
+def interactions_from_ids(users: Sequence[str], items: Sequence[str]) -> InteractionMatrix:
+    """`build_interaction_matrix` from the parallel user and item id columns."""
+    if not users:
+        raise EmptyDataset("no interactions")
+    user_ids, rows = _index_by_first_appearance(users)
+    item_ids, cols = _index_by_first_appearance(items)
+    matrix = _binary_csr(rows, cols, (len(user_ids), len(item_ids)))
+    return InteractionMatrix(matrix, user_ids, item_ids)
+
+
+def _index_by_first_appearance(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    vocabulary = tuple(dict.fromkeys(ids))
+    index = dict(zip(vocabulary, range(len(vocabulary))))
+    return vocabulary, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
 @dataclass(frozen=True, eq=False)

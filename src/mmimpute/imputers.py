@@ -218,14 +218,20 @@ def _ppr_fixed_point(
     relative: iteration stops once the largest change of a step is at
     most `tolerance * max|x0|`, so the outcome does not depend on the
     scale of the features, and an all-zero `x0` stops after one step.
+
+    A step allocates only its product: the product is scaled and shifted
+    in place, and the change is measured in the dead previous iterate.
     """
     bound = tolerance * (float(np.max(np.abs(x0))) if x0.size else 0.0)
     target = alpha * x0
-    x = x0.copy()
+    x = x0.astype(np.float64)
     residual = 0.0
     for step in range(1, FIXED_POINT_STEP_CAP + 1):
-        x_next = target + (1.0 - alpha) * (a_sl @ x)
-        residual = float(np.max(np.abs(x_next - x))) if x.size else 0.0
+        x_next = a_sl @ x
+        x_next *= 1.0 - alpha
+        x_next += target
+        np.subtract(x_next, x, out=x)
+        residual = float(np.abs(x, out=x).max()) if x.size else 0.0
         x = x_next
         if residual <= bound:
             return x, step, residual

@@ -1,7 +1,7 @@
 """File formats and dataset round-tripping.
 
 Interactions are UTF-8 text, one "user_id<TAB>item_id" per line; blank
-lines and lines starting with '#' are ignored. Feature matrices use a
+lines, lines starting with '#' and a leading byte-order mark are ignored. Feature matrices use a
 little-endian binary format: the 8-byte magic "FMATv1\\0\\0", two u64
 dimensions (rows, columns), then the float32 row-major payload. Masks
 are text, one "item_id<TAB>modality_name" per line, resolved against
@@ -17,6 +17,7 @@ be read or is not UTF-8 raises ParseError (text) or FormatError (.fmat).
 from __future__ import annotations
 
 import struct
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -31,47 +32,69 @@ from .errors import (
     UnknownModality,
 )
 from .features import FeatureSet, check_row_count
-from .graph import InteractionMatrix, build_interaction_matrix
+from .graph import InteractionMatrix, interactions_from_ids
 
 FEATURE_MAGIC = b"FMATv1\x00\x00"
 _HEADER = struct.Struct("<8sQQ")
 
 
-def _data_lines(path):
+def _read_records(path, what: str, known: dict[str, int] | None = None):
+    """Both fields of every data line of a two-column text file.
+
+    The file is read at once and split in bulk: lines are stripped, blank
+    lines and lines starting with '#' are skipped, the rest are split at
+    their one tab, and every field is stripped. Returns the list of first
+    fields, looked up in `known` when it is given, and the list of second
+    fields. The first bad line in file order raises, naming the line:
+    undecodable bytes (ParseError), a line that is not two tab-separated
+    fields (ParseError), or a first field not in `known` (UnknownItem).
+    """
     try:
-        # undecodable bytes become lone surrogates, so the bad line is known
-        handle = open(path, encoding="utf-8", errors="surrogateescape")
+        # a leading byte-order mark is dropped; undecodable bytes become
+        # lone surrogates, so the bad line is known
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+            text = handle.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
-    with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.isascii():
-                try:
-                    raw.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError(f"{path}:{lineno}: not UTF-8 text") from None
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
-
-
-def _split_pair(path, lineno: int, line: str, what: str) -> tuple[str, str]:
-    parts = [p.strip() for p in line.split("\t")]
-    if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise ParseError(f"{path}:{lineno}: expected '{what}', got {line!r}")
-    return parts[0], parts[1]
+    lines = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "#"]
+    tabs = list(map(str.count, lines, repeat("\t")))
+    n_good = len(lines)  # data lines before the first bad one
+    if tabs.count(1) != n_good:
+        n_good = next(k for k, n_tabs in enumerate(tabs) if n_tabs != 1)
+    # a stripped line neither starts nor ends with its tab: no field is empty
+    fields = list(map(str.strip, "\t".join(lines[:n_good]).split("\t"))) if n_good else []
+    firsts, seconds = fields[0::2], fields[1::2]
+    bad = []  # (line number, error), in order of precedence on one line
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            lineno = text.count("\n", 0, exc.start) + 1
+            bad.append((lineno, ParseError(f"{path}:{lineno}: not UTF-8 text")))
+    unknown = False
+    if known is not None:
+        firsts = list(map(known.get, firsts))
+        if None in firsts:
+            n_good, unknown = firsts.index(None), True
+    if n_good < len(lines):
+        numbers = enumerate(map(str.strip, text.split("\n")), start=1)
+        lineno = [k for k, line in numbers if line and line[0] != "#"][n_good]
+        if unknown:
+            error = UnknownItem(f"{path}:{lineno}: unknown item id '{fields[2 * n_good]}'")
+        else:
+            error = ParseError(f"{path}:{lineno}: expected '{what}', got {lines[n_good]!r}")
+        bad.append((lineno, error))
+    if bad:
+        raise min(bad, key=lambda b: b[0])[1]
+    return firsts, seconds
 
 
 def read_interactions(path) -> InteractionMatrix:
     """Load a user/item pair file, indexing ids by first appearance."""
-    pairs = [
-        _split_pair(path, lineno, line, "user_id<TAB>item_id")
-        for lineno, line in _data_lines(path)
-    ]
-    if not pairs:
+    users, items = _read_records(path, "user_id<TAB>item_id")
+    if not users:
         raise EmptyDataset(f"{path}: no interactions")
-    return build_interaction_matrix(pairs)
+    return interactions_from_ids(users, items)
 
 
 def write_interactions(path, r: InteractionMatrix):
@@ -123,12 +146,10 @@ def write_feature_matrix(path, matrix: np.ndarray):
 def read_mask(path, r: InteractionMatrix) -> dict[str, set[int]]:
     """Load per-modality missing-item sets; duplicate lines collapse."""
     index = {item_id: i for i, item_id in enumerate(r.item_ids)}
+    items, modalities = _read_records(path, "item_id<TAB>modality_name", index)
     out: dict[str, set[int]] = {}
-    for lineno, line in _data_lines(path):
-        item_id, modality = _split_pair(path, lineno, line, "item_id<TAB>modality_name")
-        if item_id not in index:
-            raise UnknownItem(f"{path}:{lineno}: unknown item id '{item_id}'")
-        out.setdefault(modality, set()).add(index[item_id])
+    for item, modality in zip(items, modalities):
+        out.setdefault(modality, set()).add(item)
     return out
 
 

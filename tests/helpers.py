@@ -3,8 +3,18 @@
 import numpy as np
 import scipy.sparse as sp
 
-from mmimpute import EmptyDataset, FeatureSet, InconsistentData, InteractionMatrix, ppr_exact
+from mmimpute import (
+    DivergentDiffusion,
+    EmptyDataset,
+    FeatureSet,
+    InconsistentData,
+    InteractionMatrix,
+    ParseError,
+    UnknownItem,
+    ppr_exact,
+)
 from mmimpute.graph import ItemGraph, KIND_BINARY, KIND_COUNTS
+from mmimpute.imputers import FIXED_POINT_STEP_CAP
 
 
 def binary_graph(n, edges):
@@ -182,6 +192,88 @@ def dense_ppr_propagate(f, g, alpha, hops, clamp=True):
     """
     diffusion = ppr_exact(g, alpha).matrix
     return full_matrix_propagate(f, hops, lambda m, t, x: diffusion @ x, clamp)
+
+
+def expression_fixed_point(a_sl, alpha, x0, tolerance):
+    """Personalized-PageRank fixed point with one new array per operation.
+
+    Each step evaluates `target + (1 - alpha) * (a_sl @ x)` and
+    `max|x_next - x|` as whole-array expressions. The reference the
+    in-place `_ppr_fixed_point` must match bit for bit: iterate, step
+    count, residual and divergence message.
+    """
+    bound = tolerance * (float(np.max(np.abs(x0))) if x0.size else 0.0)
+    target = alpha * x0
+    x = x0.copy()
+    residual = 0.0
+    for step in range(1, FIXED_POINT_STEP_CAP + 1):
+        x_next = target + (1.0 - alpha) * (a_sl @ x)
+        residual = float(np.max(np.abs(x_next - x))) if x.size else 0.0
+        x = x_next
+        if residual <= bound:
+            return x, step, residual
+    raise DivergentDiffusion(
+        f"personalized-PageRank fixed point did not reach residual {bound:.3e} "
+        f"({tolerance} relative to max |x0|) within {FIXED_POINT_STEP_CAP} steps "
+        f"at alpha={alpha} (last residual {residual:.3e})"
+    )
+
+
+def _per_line_data_lines(path):
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(f"{path}:{lineno}: not UTF-8 text") from None
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            yield lineno, line
+
+
+def _per_line_split_pair(path, lineno, line, what):
+    parts = [p.strip() for p in line.split("\t")]
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        raise ParseError(f"{path}:{lineno}: expected '{what}', got {line!r}")
+    return parts[0], parts[1]
+
+
+def per_line_read_interactions(path):
+    """Interaction reader that decodes, splits and indexes line by line.
+
+    The reference `read_interactions` must match: ids, CSR arrays with
+    their dtypes, and the type and message of the first error. It reads
+    plain UTF-8, so a leading byte-order mark is not handled.
+    """
+    pairs = [
+        _per_line_split_pair(path, lineno, line, "user_id<TAB>item_id")
+        for lineno, line in _per_line_data_lines(path)
+    ]
+    if not pairs:
+        raise EmptyDataset(f"{path}: no interactions")
+    users, items, rows, cols = {}, {}, [], []
+    for user_id, item_id in pairs:
+        rows.append(users.setdefault(user_id, len(users)))
+        cols.append(items.setdefault(item_id, len(items)))
+    data = np.ones(len(rows), dtype=np.int64)
+    matrix = sp.coo_matrix((data, (rows, cols)), shape=(len(users), len(items))).tocsr()
+    matrix.data[:] = 1
+    matrix.sort_indices()
+    return InteractionMatrix(matrix, tuple(users), tuple(items))
+
+
+def per_line_read_mask(path, r):
+    """Mask reader that resolves ids line by line; the `read_mask` reference."""
+    index = {item_id: i for i, item_id in enumerate(r.item_ids)}
+    out = {}
+    for lineno, line in _per_line_data_lines(path):
+        item_id, modality = _per_line_split_pair(path, lineno, line, "item_id<TAB>modality_name")
+        if item_id not in index:
+            raise UnknownItem(f"{path}:{lineno}: unknown item id '{item_id}'")
+        out.setdefault(modality, set()).add(index[item_id])
+    return out
 
 
 def _reordered_ids(ids, new_index):

@@ -24,6 +24,7 @@ from mmimpute.imputers import _ppr_fixed_point
 from helpers import (
     binary_graph,
     dense_ppr_propagate,
+    expression_fixed_point,
     feature_set,
     full_matrix_propagate,
     naive_neigh_mean,
@@ -229,6 +230,36 @@ def test_ppr_fixed_point_zero_input_stops_at_once():
     assert not x.any()
 
 
+def fixed_point_outcome(solve, *args):
+    try:
+        x, steps, residual = solve(*args)
+    except DivergentDiffusion as exc:
+        return "diverged", str(exc)
+    return x.dtype, x.shape, x.tobytes(), steps, residual
+
+
+def test_ppr_fixed_point_matches_expression_oracle():
+    rng = np.random.default_rng(4242)
+    cases = []
+    for case in range(80):
+        n = int(rng.integers(2, 30))
+        a_sl = ppr_iterative(random_connected_graph(rng, n), 0.5).matrix
+        alpha = float(rng.uniform(0.1, 0.99))
+        tolerance = float(10.0 ** rng.uniform(-11, -3))
+        scale = float(10.0 ** rng.uniform(-9, 9))
+        x0 = scale * rng.standard_normal((n, int(rng.integers(1, 6))))
+        if case % 10 == 0:
+            x0[:] = 0.0
+        cases.append((a_sl, alpha, x0, tolerance))
+        cases.append((a_sl, alpha, np.zeros((n, 0)), tolerance))
+    two_node = ppr_iterative(binary_graph(2, [(0, 1)]), 0.5).matrix
+    cases.append((two_node, 0.5, np.array([[1.0], [0.0]]), 1e-8))
+    for k, args in enumerate(cases):
+        got = fixed_point_outcome(_ppr_fixed_point, *args)
+        assert got == fixed_point_outcome(expression_fixed_point, *args), k
+    assert got[0] == "diverged"
+
+
 def test_masked_row_kernel_matches_full_matrix_loop():
     rng = np.random.default_rng(2111)
     for case in range(50):
@@ -254,7 +285,7 @@ def test_masked_row_kernel_matches_full_matrix_loop():
             (lambda: impute_multihop(f, sym_norm_adjacency(g), hops, clamp=False),
              lambda m, t, x: s @ x, False),
             (lambda: impute_pers_pagerank(f, g, alpha, hops),
-             lambda m, t, x: _ppr_fixed_point(a_sl, alpha, x, 1e-8)[0], True),
+             lambda m, t, x: expression_fixed_point(a_sl, alpha, x, 1e-8)[0], True),
         ]
         for k, (run, apply_op, clamp) in enumerate(runs):
             expected = full_matrix_propagate(f, hops, apply_op, clamp)["m"]

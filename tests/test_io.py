@@ -21,7 +21,7 @@ from mmimpute.io import (
     write_interactions,
 )
 
-from helpers import feature_set
+from helpers import feature_set, per_line_read_interactions, per_line_read_mask
 
 
 def test_read_interactions_basic(tmp_path):
@@ -106,10 +106,14 @@ def test_feature_matrix_rejects_nonfinite(tmp_path):
         write_feature_matrix(tmp_path / "m.fmat", np.array([[np.inf]]))
 
 
-def interactions_abc(tmp_path):
+def read_interactions_text(tmp_path, text):
     path = tmp_path / "r.tsv"
-    path.write_text("u1\ta\nu1\tb\nu2\tc\n")
+    path.write_text(text, encoding="utf-8")
     return read_interactions(path)
+
+
+def interactions_abc(tmp_path):
+    return read_interactions_text(tmp_path, "u1\ta\nu1\tb\nu2\tc\n")
 
 
 def test_read_mask_resolves_ids(tmp_path):
@@ -188,3 +192,87 @@ def test_write_interactions_round_trip(tmp_path):
     assert r2.user_ids == r.user_ids
     assert r2.item_ids == r.item_ids
     assert np.array_equal(r2.matrix.toarray(), r.matrix.toarray())
+
+
+def test_read_interactions_strips_byte_order_mark(tmp_path):
+    path = tmp_path / "r.tsv"
+    path.write_bytes(b"\xef\xbb\xbfu1\ta\nu1\tb\nu2\tc\n")
+    r = read_interactions(path)
+    assert r.user_ids == ("u1", "u2")
+    assert r.item_ids == ("a", "b", "c")
+
+
+def test_read_mask_strips_byte_order_mark(tmp_path):
+    r = interactions_abc(tmp_path)
+    mask_path = tmp_path / "mask.tsv"
+    mask_path.write_bytes(b"\xef\xbb\xbfb\ttext\n")
+    assert read_mask(mask_path, r) == {"text": {1}}
+
+
+IDS = ["u1", "u2", "a", "b", "c", "item-7", "é", "日本", "x y", "q\x85r", "s t"]
+PADDING = ["", " ", "  ", "\x0b", "\x0c", "\u3000", "\x1c", "\x85"]
+FILLER = ["", " ", "\t", "#", "# comment", "  # indented\tcomment", "#\xe9t\xe9"]
+BAD_BYTES = [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe2\x82", b"\x80abc"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def random_text_file(rng, first_ids, second_ids):
+    """Two-column text with comments, blanks, padding and mixed line ends,
+    corrupted about half the time."""
+    lines = []
+    for _ in range(int(rng.integers(0, 25))):
+        if rng.random() < 0.25:
+            lines.append(str(rng.choice(FILLER)))
+            continue
+        pad = [str(rng.choice(PADDING)) for _ in range(4)]
+        first, second = str(rng.choice(first_ids)), str(rng.choice(second_ids))
+        lines.append(f"{pad[0]}{first}{pad[1]}\t{pad[2]}{second}{pad[3]}")
+        if rng.random() < 0.2:
+            lines.append(lines[-1])  # duplicate line
+    if lines and rng.random() < 0.5:
+        k = int(rng.integers(0, len(lines)))
+        corrupt = [
+            lambda line: line + "\tz",  # an extra tab
+            lambda line: line.split("\t")[0] + "\t",  # an empty field
+            lambda line: "\t" + line.split("\t")[-1],  # an empty field
+            lambda line: line.replace("\t", " "),  # no tab
+        ]
+        lines[k] = corrupt[int(rng.integers(0, len(corrupt)))](lines[k])
+    encoded = [line.encode("utf-8") for line in lines]
+    if encoded and rng.random() < 0.3:
+        k = int(rng.integers(0, len(encoded)))
+        cut = int(rng.integers(0, len(encoded[k]) + 1))
+        encoded[k] = encoded[k][:cut] + rng.choice(BAD_BYTES) + encoded[k][cut:]
+    ends = [str(rng.choice(LINE_ENDS)).encode() for _ in encoded]
+    body = b"".join(line + end for line, end in zip(encoded, ends))
+    if body and rng.random() < 0.3:
+        body = body.rstrip(b"\r\n")  # no final line end
+    return body
+
+
+def read_outcome(read, *args):
+    try:
+        result = read(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, InteractionMatrix):
+        m = result.matrix
+        return result.user_ids, result.item_ids, [(a.dtype, a.tobytes()) for a in (m.indptr, m.indices, m.data)]
+    return result
+
+
+def test_bulk_reader_matches_per_line_oracle(tmp_path):
+    rng = np.random.default_rng(31337)
+    path = tmp_path / "data.tsv"
+    r = read_interactions_text(tmp_path, "".join(f"u1\t{i}\n" for i in IDS))
+    kinds = set()
+    for case in range(300):
+        path.write_bytes(random_text_file(rng, IDS, IDS))
+        want = read_outcome(per_line_read_interactions, path)
+        assert read_outcome(read_interactions, path) == want, case
+        kinds.add(want[0] if isinstance(want[0], type) else "ok")
+        path.write_bytes(random_text_file(rng, IDS + ["nope", "zzz"], ["text", "visual"]))
+        want = read_outcome(per_line_read_mask, path, r)
+        assert read_outcome(read_mask, path, r) == want, case
+        kinds.add(want[0] if isinstance(want, tuple) else "ok mask")
+    assert kinds == {"ok", "ok mask", ParseError, EmptyDataset, UnknownItem}

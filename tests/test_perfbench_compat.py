@@ -65,7 +65,10 @@ def test_traced_impute_runs(tmp_path, flags):
     counts = traced_run(tmp_path, "impute", flags)["counts"]
     assert counts["imputers.hops"] == 10
     if flags[1] == "pers-pagerank":
-        assert counts["imputers.fixed_point_steps"] > 0
+        # the tracer groups one product per reported fixed-point step
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        steps = sum(sum(m["fixed_point_steps"]) for m in report["modalities"].values())
+        assert counts["imputers.fixed_point_steps"] == steps > 0
 
 
 def test_traced_drop_runs(tmp_path):
