@@ -9,14 +9,14 @@ fidelity per modality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, InvalidParameter
-from .features import FeatureSet, GRAPH_METHODS, ImputeConfig, METHODS, check_row_count
-from .graph import InteractionMatrix, cooccurrence
+from .errors import EmptyDataset, InvalidParameter, MmImputeError
+from .features import FeatureSet, GRAPH_METHODS, ImputeConfig, METHODS, check_row_count, check_seed
+from .graph import InteractionMatrix, ItemGraph, cooccurrence
 from .imputers import impute
 
 
@@ -30,12 +30,7 @@ class DatasetStats:
     missing: dict[str, int]
 
     def as_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "n_interactions": self.n_interactions,
-            "missing": dict(self.missing),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,12 +41,7 @@ class ModalityMetrics:
     n_cosine_excluded: int
 
     def as_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "mean_cosine": self.mean_cosine,
-            "n_evaluated": self.n_evaluated,
-            "n_cosine_excluded": self.n_cosine_excluded,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +110,7 @@ def mask_features(f: FeatureSet, fraction: float, seed: int) -> tuple[FeatureSet
     """
     if not (0.0 < fraction < 1.0):
         raise InvalidParameter(f"hide fraction must be in (0, 1), got {fraction}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     matrices = {}
     masks = {}
@@ -155,23 +146,25 @@ def reconstruction_metrics(imputed: FeatureSet, truth: HiddenRows) -> EvalReport
     for m, idx in truth.indices.items():
         if m not in imputed.matrices:
             raise InvalidParameter(f"imputed features lack modality '{m}'")
-        got = imputed.matrices[m][idx]
-        want = truth.values[m]
-        if got.shape != want.shape:
-            raise InvalidParameter(f"modality '{m}': hidden row shapes do not match")
-        err = got - want
-        rmse = float(np.sqrt(np.mean(err * err))) if err.size else 0.0
-        got_norm = np.linalg.norm(got, axis=1)
-        want_norm = np.linalg.norm(want, axis=1)
-        ok = (got_norm > 0.0) & (want_norm > 0.0)
-        excluded = int(idx.size - ok.sum())
-        if ok.any():
-            cosine = np.sum(got[ok] * want[ok], axis=1) / (got_norm[ok] * want_norm[ok])
-            mean_cosine = float(np.mean(cosine))
-        else:
-            mean_cosine = None
-        per_modality[m] = ModalityMetrics(rmse, mean_cosine, int(idx.size), excluded)
+        per_modality[m] = _modality_metrics(m, imputed.matrices[m][idx], truth.values[m])
     return EvalReport(per_modality)
+
+
+def _modality_metrics(m: str, got: np.ndarray, want: np.ndarray) -> ModalityMetrics:
+    if got.shape != want.shape:
+        raise InvalidParameter(f"modality '{m}': hidden row shapes do not match")
+    err = got - want
+    rmse = float(np.sqrt(np.mean(err * err))) if err.size else 0.0
+    got_norm = np.linalg.norm(got, axis=1)
+    want_norm = np.linalg.norm(want, axis=1)
+    ok = (got_norm > 0.0) & (want_norm > 0.0)
+    excluded = int(len(got) - ok.sum())
+    if ok.any():
+        cosine = np.sum(got[ok] * want[ok], axis=1) / (got_norm[ok] * want_norm[ok])
+        mean_cosine = float(np.mean(cosine))
+    else:
+        mean_cosine = None
+    return ModalityMetrics(rmse, mean_cosine, len(got), excluded)
 
 
 def synth_generate(
@@ -203,6 +196,7 @@ def synth_generate(
         raise InvalidParameter("noise_sigma must be nonnegative")
     if not dims:
         raise InvalidParameter("at least one modality dimension is required")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     community_u = np.arange(n_users) % n_communities
     community_i = np.arange(n_items) % n_communities
@@ -227,6 +221,35 @@ def _grid_seed(base_seed: int, grid_index: int) -> int:
     return int(np.random.SeedSequence([base_seed, grid_index]).generate_state(1)[0])
 
 
+def _score_configs(
+    masked: FeatureSet, r: InteractionMatrix, hidden: HiddenRows,
+    counts: ItemGraph | None, cfgs: list[ImputeConfig],
+) -> list[tuple[dict, dict]]:
+    """(metrics, run details) of configurations that differ only in `hops`.
+
+    Multihop and personalized PageRank run once, at the deepest hop count:
+    a clamped hop does not depend on how many hops follow it, so each
+    shallower configuration is scored as the propagation passes it.
+    """
+    if cfgs[0].method not in ("multihop", "pers-pagerank"):
+        out, report = impute(masked, r, cfgs[0], counts_graph=counts)
+        return [(reconstruction_metrics(out, hidden).as_dict(), report["modalities"])]
+    scores: dict[int, dict[str, dict]] = {cfg.hops: {} for cfg in cfgs}
+
+    def score(m, t, x):
+        if t in scores:
+            scores[t][m] = _modality_metrics(m, x[hidden.indices[m]], hidden.values[m]).as_dict()
+
+    deepest = max(cfgs, key=lambda cfg: cfg.hops)
+    _, report = impute(masked, r, deepest, counts_graph=counts, on_iteration=score)
+    return [  # the per-hop lists of the deep run, cut to each configuration's hops
+        ({m: scores[cfg.hops][m] for m in hidden.indices},
+         {m: {key: v[:cfg.hops] if isinstance(v, list) else v for key, v in d.items()}
+          for m, d in report["modalities"].items()})
+        for cfg in cfgs
+    ]
+
+
 def run_sweep(
     r: InteractionMatrix,
     f: FeatureSet,
@@ -244,7 +267,8 @@ def run_sweep(
     One hidden set (derived from `seed`) is shared by every configuration;
     each run gets its own seed derived from (base seed, grid index).
     Traditional methods ignore the grids and run once; neigh-mean sweeps
-    top-k only; multihop and pers-pagerank sweep top-k x hops.
+    top-k only; multihop and pers-pagerank sweep top-k x hops, with one
+    propagation per top-k that scores every hop count.
     """
     for method in methods:
         if method not in METHODS:
@@ -252,38 +276,34 @@ def run_sweep(
     masked, hidden = mask_features(f, hide_fraction, seed)
     counts = cooccurrence(r) if any(m in GRAPH_METHODS for m in methods) else None
     rows: list[dict] = []
-    grid_index = 0
     for method in methods:
         if method not in GRAPH_METHODS:
-            combos: list[tuple[int | None, int | None]] = [(None, None)]
+            groups: list[tuple[int | None, Sequence[int | None]]] = [(None, [None])]
         elif method == "neigh-mean":
-            combos = [(k, None) for k in top_k_grid]
+            groups = [(k, [None]) for k in top_k_grid]
         else:
-            combos = [(k, t) for k in top_k_grid for t in hops_grid]
-        for top_k, hops in combos:
-            run_seed = _grid_seed(seed, grid_index)
-            cfg = ImputeConfig(
-                method=method,
-                top_k=top_k if top_k is not None else 20,
-                hops=hops if hops is not None else 10,
-                alpha=alpha,
-                seed=run_seed,
-                cold_fallback=cold_fallback,
-                iter_tolerance=iter_tolerance,
-            )
-            imputed, run_report = impute(masked, r, cfg, counts_graph=counts)
-            metrics = reconstruction_metrics(imputed, hidden)
-            rows.append(
-                {
-                    "grid_index": grid_index,
-                    "method": method,
-                    "top_k": top_k,
-                    "hops": hops,
-                    "alpha": alpha if method == "pers-pagerank" else None,
-                    "run_seed": run_seed,
-                    "metrics": metrics.as_dict(),
-                    "modalities": run_report["modalities"],
-                }
-            )
-            grid_index += 1
+            groups = [(k, hops_grid) for k in top_k_grid if len(hops_grid)]
+        for top_k, hop_values in groups:
+
+            def config(j: int, hops: int | None) -> ImputeConfig:
+                return ImputeConfig(
+                    method=method, top_k=20 if top_k is None else top_k,
+                    hops=10 if hops is None else hops, alpha=alpha,
+                    seed=_grid_seed(seed, len(rows) + j),
+                    cold_fallback=cold_fallback, iter_tolerance=iter_tolerance,
+                )
+
+            try:
+                cfgs = [config(j, hops) for j, hops in enumerate(hop_values)]
+                scored = _score_configs(masked, r, hidden, counts, cfgs)
+            except MmImputeError:  # one run per configuration names the first that fails
+                for j, hops in enumerate(hop_values):
+                    impute(masked, r, config(j, hops), counts_graph=counts)
+                raise
+            for hops, cfg, (metrics, details) in zip(hop_values, cfgs, scored):
+                rows.append({
+                    "grid_index": len(rows), "method": method, "top_k": top_k, "hops": hops,
+                    "alpha": alpha if method == "pers-pagerank" else None, "run_seed": cfg.seed,
+                    "metrics": metrics, "modalities": details,
+                })
     return rows

@@ -90,6 +90,12 @@ def check_row_count(f: FeatureSet, r: InteractionMatrix):
         )
 
 
+def check_seed(seed: int):
+    """Raise InvalidParameter unless `seed` fits an unsigned 64-bit integer."""
+    if not (0 <= seed < 2**64):
+        raise InvalidParameter("seed must be an unsigned 64-bit integer")
+
+
 @dataclass(frozen=True)
 class ImputeConfig:
     """Method selector plus hyper-parameters for the dispatcher.
@@ -121,8 +127,7 @@ class ImputeConfig:
             raise InvalidParameter(f"hops must be at least 1, got {self.hops}")
         if not (0.0 < self.alpha <= 1.0):
             raise InvalidParameter(f"alpha must be in (0, 1], got {self.alpha}")
-        if not (0 <= self.seed < 2**64):
-            raise InvalidParameter("seed must be an unsigned 64-bit integer")
+        check_seed(self.seed)
         if self.cold_fallback not in FALLBACKS:
             raise InvalidParameter(f"unknown cold_fallback '{self.cold_fallback}'")
         if not (self.iter_tolerance > 0.0):

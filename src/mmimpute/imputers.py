@@ -76,12 +76,7 @@ def _check_graph(f: FeatureSet, g: ItemGraph):
 
 def impute_zeros(f: FeatureSet) -> FeatureSet:
     """Replace missing rows with zero vectors."""
-    out = {}
-    for m in f.modalities:
-        x = f.matrices[m].copy()
-        x[f.masks[m]] = 0.0
-        out[m] = x
-    return _cleared(f, out)
+    return _cleared(f, {m: _zero_init(f, m) for m in f.modalities})
 
 
 def impute_random(f: FeatureSet, seed: int) -> FeatureSet:
@@ -106,7 +101,7 @@ def impute_global_mean(f: FeatureSet) -> FeatureSet:
     """Replace missing rows with the column-wise mean of observed rows."""
     out = {}
     for m in f.modalities:
-        x = f.matrices[m].copy()
+        x = _zero_init(f, m)
         if f.masks[m].any():
             x[f.masks[m]] = _observed_mean(f, m)
         out[m] = x
@@ -121,21 +116,26 @@ def impute_neigh_mean(f: FeatureSet, g: ItemGraph, fallback: str = "global-mean"
     neighbors use the configured fallback.
     """
     _check_graph(f, g)
-    out = {}
+
+    def row_step(m, rows):
+        # one hop reads placeholders, not results. CSR products sum each
+        # row in ascending neighbor order, a left fold that is part of
+        # the determinism contract
+        a_rows, deg = g.adjacency[rows], np.maximum(g.degrees[rows], 1)[:, None]
+        return lambda x: (a_rows @ x) / deg
+
+    out = _propagate(f, 1, row_step, clamp=True, on_iteration=None)
     for m in f.modalities:
-        x = f.matrices[m].copy()
-        rows = np.flatnonzero(f.masks[m])
-        if rows.size:
-            deg = g.degrees[rows]
-            # simultaneous update: reads placeholders, not results. CSR
-            # products sum each row in ascending neighbor order, a left
-            # fold that is part of the determinism contract
-            x[rows] = (g.adjacency[rows] @ _zero_init(f, m)) / np.maximum(deg, 1)[:, None]
-            cold = rows[deg == 0]  # zero rows so far; they take the fallback
-            if cold.size:
-                x[cold] = _fallback_row(f, m, fallback)
-        out[m] = x
+        _fill_cold(f, g, m, out[m], fallback)
     return _cleared(f, out)
+
+
+def _fill_cold(f: FeatureSet, g: ItemGraph, m: str, x: np.ndarray, fallback: str) -> np.ndarray:
+    """Fill the masked rows of `x` that have no neighbors with the fallback; returns them."""
+    cold = (g.degrees == 0) & f.masks[m]
+    if cold.any():
+        x[cold] = _fallback_row(f, m, fallback)
+    return cold
 
 
 def _take_rows(a, rows: np.ndarray | None):
@@ -304,41 +304,21 @@ def impute_pers_pagerank(
     return out
 
 
-def _cold_fallback_pass(
-    original: FeatureSet, imputed: FeatureSet, g: ItemGraph, fallback: str
-) -> FeatureSet:
-    """Fill rows diffusion cannot reach (degree 0) with the fallback vector.
-
-    With the "zeros" fallback this is a no-op: unreachable rows already
-    sit at their zero placeholders.
-    """
-    if fallback == "zeros":
-        return imputed
-    cold = g.degrees == 0
-    out = {}
-    changed = False
-    for m in original.modalities:
-        rows = cold & original.masks[m]
-        x = imputed.matrices[m]
-        if rows.any():
-            x = x.copy()
-            x[rows] = _fallback_row(original, m, fallback)
-            changed = True
-        out[m] = x
-    return _cleared(original, out) if changed else imputed
-
-
 def impute(
     f: FeatureSet,
     r: InteractionMatrix,
     cfg: ImputeConfig,
     counts_graph: ItemGraph | None = None,
+    on_iteration: IterationHook | None = None,
 ) -> tuple[FeatureSet, dict]:
     """Dispatch to the configured method, building graph artifacts on demand.
 
     Returns the imputed feature set and a JSON-ready run report with the
     configuration echo, per-modality counts and diffusion diagnostics.
     `counts_graph` lets sweeps reuse the co-interaction counts.
+    `on_iteration(modality, hop, x)` runs after each multihop and
+    personalized-PageRank hop; in a clamped run `x` is then the matrix
+    this call would return with `hops` set to that hop.
     """
     check_row_count(f, r)
     started = time.perf_counter()
@@ -359,16 +339,25 @@ def impute(
             details[m]["cold_items"] = int(((g.degrees == 0) & f.masks[m]).sum())
         if method == "neigh-mean":
             out = impute_neigh_mean(f, g, cfg.cold_fallback)
-        elif method == "multihop":
-            out = impute_multihop(f, sym_norm_adjacency(g), cfg.hops, clamp=cfg.clamp)
-            out = _cold_fallback_pass(f, out, g, cfg.cold_fallback)
         else:
-            out, stats = _pers_pagerank(
-                f, g, cfg.alpha, cfg.hops, iter_tolerance=cfg.iter_tolerance, clamp=cfg.clamp
-            )
-            out = _cold_fallback_pass(f, out, g, cfg.cold_fallback)
+            def cold_filled(m, t, x):
+                cold = _fill_cold(f, g, m, x, cfg.cold_fallback)
+                on_iteration(m, t, x)
+                x[cold] = 0.0  # the next hop reads them as placeholders
+
+            hook = None if on_iteration is None else cold_filled
+            if method == "multihop":
+                op = sym_norm_adjacency(g)
+                out = impute_multihop(f, op, cfg.hops, clamp=cfg.clamp, on_iteration=hook)
+            else:
+                out, stats = _pers_pagerank(
+                    f, g, cfg.alpha, cfg.hops,
+                    iter_tolerance=cfg.iter_tolerance, clamp=cfg.clamp, on_iteration=hook,
+                )
+                for m in f.modalities:
+                    details[m].update(stats[m])
             for m in f.modalities:
-                details[m].update(stats[m])
+                _fill_cold(f, g, m, out.matrices[m], cfg.cold_fallback)
     report = {
         "method": method,
         "config": cfg.as_dict(),

@@ -4,15 +4,24 @@ import numpy as np
 import scipy.sparse as sp
 
 from mmimpute import (
+    GRAPH_METHODS,
+    METHODS,
     DivergentDiffusion,
     EmptyDataset,
     FeatureSet,
+    ImputeConfig,
     InconsistentData,
     InteractionMatrix,
+    InvalidParameter,
     ParseError,
     UnknownItem,
+    cooccurrence,
+    impute,
+    mask_features,
     ppr_exact,
+    reconstruction_metrics,
 )
+from mmimpute.evaluate import _grid_seed
 from mmimpute.graph import ItemGraph, KIND_BINARY, KIND_COUNTS
 from mmimpute.imputers import FIXED_POINT_STEP_CAP
 
@@ -373,3 +382,56 @@ def unique_canonicalize(r, f):
 def entry_lines(r):
     """Interaction-file text written one entry at a time."""
     return "".join(f"{r.user_ids[u]}\t{r.item_ids[i]}\n" for u, i in r.iter_entries())
+
+
+def per_config_sweep(
+    r, f, methods, top_k_grid, hops_grid, hide_fraction, seed,
+    alpha=0.85, cold_fallback="global-mean", iter_tolerance=1e-8,
+):
+    """Mask-and-recover sweep with one full `impute` call per configuration.
+
+    The reference `run_sweep` must match row for row, and error for error:
+    every (method, top-k, hops) point rebuilds its graph and reruns hops
+    1..T from scratch.
+    """
+    for method in methods:
+        if method not in METHODS:
+            raise InvalidParameter(f"unknown method '{method}'")
+    masked, hidden = mask_features(f, hide_fraction, seed)
+    counts = cooccurrence(r) if any(m in GRAPH_METHODS for m in methods) else None
+    rows = []
+    grid_index = 0
+    for method in methods:
+        if method not in GRAPH_METHODS:
+            combos = [(None, None)]
+        elif method == "neigh-mean":
+            combos = [(k, None) for k in top_k_grid]
+        else:
+            combos = [(k, t) for k in top_k_grid for t in hops_grid]
+        for top_k, hops in combos:
+            run_seed = _grid_seed(seed, grid_index)
+            cfg = ImputeConfig(
+                method=method,
+                top_k=top_k if top_k is not None else 20,
+                hops=hops if hops is not None else 10,
+                alpha=alpha,
+                seed=run_seed,
+                cold_fallback=cold_fallback,
+                iter_tolerance=iter_tolerance,
+            )
+            imputed, run_report = impute(masked, r, cfg, counts_graph=counts)
+            metrics = reconstruction_metrics(imputed, hidden)
+            rows.append(
+                {
+                    "grid_index": grid_index,
+                    "method": method,
+                    "top_k": top_k,
+                    "hops": hops,
+                    "alpha": alpha if method == "pers-pagerank" else None,
+                    "run_seed": run_seed,
+                    "metrics": metrics.as_dict(),
+                    "modalities": run_report["modalities"],
+                }
+            )
+            grid_index += 1
+    return rows

@@ -267,3 +267,19 @@ def test_cli_determinism(tmp_path):
     rb = json.loads((b / "report.json").read_text())
     ra.pop("timing"), rb.pop("timing")
     assert ra == rb
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["synth", "evaluate"])
+def test_seed_out_of_range_is_usage_error(tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = [
+            "synth", "--users", "20", "--items", "10", "--communities", "2",
+            "--p-in", "0.5", "--p-out", "0.05", "--dims", "text=2",
+        ]
+    else:
+        argv = ["evaluate", *tiny_dataset(tmp_path), "--hide-fraction", "0.5", "--methods", "zeros"]
+    assert main([*argv, "--seed", seed, "--out", str(out)]) == 1
+    assert "error: seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+    assert not out.exists()

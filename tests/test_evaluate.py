@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from mmimpute import (
     HiddenRows,
     InconsistentData,
     InvalidParameter,
+    METHODS,
+    MmImputeError,
     build_interaction_matrix,
     dataset_stats,
     drop_missing,
@@ -15,13 +19,14 @@ from mmimpute import (
     run_sweep,
     synth_generate,
 )
-from mmimpute.graph import InteractionMatrix
+from mmimpute.graph import InteractionMatrix, cooccurrence, ppr_iterative, topk_sparsify
 from mmimpute.io import canonicalize_dataset, write_interactions
 
 from helpers import (
     entry_lines,
     feature_set,
     lexsort_drop_reindex,
+    per_config_sweep,
     random_interactions,
     unique_canonicalize,
 )
@@ -374,3 +379,108 @@ def test_run_sweep_unknown_method():
     r, f = synth_generate(20, 10, 2, 0.5, 0.1, [("m", 4)], 0.1, seed=4)
     with pytest.raises(InvalidParameter):
         run_sweep(r, f, ["nope"], [5], [1], 0.2, 0)
+
+
+def sweep_outcome(sweep, *args, **kwargs):
+    """The rows as JSON, or the error type and message."""
+    try:
+        return json.dumps(sweep(*args, **kwargs))
+    except MmImputeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_run_sweep_matches_per_config_oracle():
+    # one propagation per (method, top-k) must give the rows, or the
+    # error, of one full impute call per grid point
+    rng = np.random.default_rng(2024)
+    top_k_grids = [[1, 3], [3, 1, 3], [2], []]
+    hops_grids = [[1, 2, 3], [3, 1, 3, 2], [4], [], [2, 0, 1], [0]]
+    kinds = set()
+    cold_hidden = 0
+    for case in range(48):
+        base = random_interactions(rng, max_users=12, max_items=14)
+        n_items = base.n_items + 2  # the last two items have no interactions
+        r = InteractionMatrix.from_pairs(
+            np.column_stack(base.matrix.nonzero()), base.n_users, n_items
+        )
+        dims = {"a": 3, "b": 2}
+        matrices, masks = {}, {}
+        for m, dim in dims.items():
+            mask = rng.random(n_items) < 0.2
+            mask[-1] = m == "a"
+            matrices[m] = np.where(mask[:, None], 0.0, rng.standard_normal((n_items, dim)))
+            masks[m] = mask
+        f = FeatureSet(tuple(dims), matrices, masks)
+        seed = int(rng.integers(0, 2**32))
+        hops_grid = hops_grids[case % len(hops_grids)]
+        kwargs = dict(
+            methods=list(METHODS),
+            top_k_grid=top_k_grids[case % len(top_k_grids)],
+            hops_grid=hops_grid,
+            hide_fraction=0.5,
+            seed=seed,
+            cold_fallback=("zeros", "global-mean")[case % 2],
+            iter_tolerance=1e-6,
+        )
+        want = sweep_outcome(per_config_sweep, r, f, **kwargs)
+        assert sweep_outcome(run_sweep, r, f, **kwargs) == want, case
+        kinds.add(type(want).__name__)
+        if isinstance(want, tuple):
+            continue
+        _, hidden = mask_features(f, 0.5, seed)
+        for idx in hidden.indices.values():  # hidden rows that are cold in every graph
+            cold_hidden += int(np.isin(idx, [n_items - 2, n_items - 1]).sum())
+    assert kinds == {"str", "tuple"}
+    assert cold_hidden > 0
+
+
+@pytest.mark.parametrize(
+    "hops_grid,alpha",
+    [([1, 3], 0.5), ([3, 0], 0.5), ([0, 3], 0.5), ([2], 1.5), ([], 1.5)],
+    ids=["divergent", "divergent-before-hop-0", "hop-0-first", "alpha-out-of-range", "empty-hops"],
+)
+def test_run_sweep_errors_match_per_config_oracle(hops_grid, alpha):
+    # alpha=0.5 diverges on the two-node graph (test_ppr_divergent_at_half)
+    r = build_interaction_matrix([("u1", "a"), ("u1", "b")])
+    f = FeatureSet.create([("x", np.array([[1.0, 2.0], [3.0, 4.0]])), ("y", np.eye(2))])
+    kwargs = dict(
+        methods=["multihop", "pers-pagerank"],
+        top_k_grid=[1, 2],
+        hops_grid=hops_grid,
+        hide_fraction=0.5,
+        seed=3,
+        alpha=alpha,
+    )
+    want = sweep_outcome(per_config_sweep, r, f, **kwargs)
+    assert sweep_outcome(run_sweep, r, f, **kwargs) == want
+    assert isinstance(want, str) == (hops_grid == [])
+
+
+def test_run_sweep_names_the_first_failing_configuration():
+    # Modality x is orthogonal to the one divergent mode of this graph at
+    # alpha=0.35, so its first hop converges and only its second diverges;
+    # y diverges at once. The deep run fails on x's second hop, but a
+    # sweep over hops [1, 2] must report the 1-hop configuration's error,
+    # which is y's.
+    edges = [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)]
+    r = build_interaction_matrix(
+        [(f"u{k}", f"i{i}") for k, edge in enumerate(edges) for i in edge]
+    )
+    a_sl = ppr_iterative(topk_sparsify(cooccurrence(r), 10), 0.35).matrix.toarray()
+    top = np.linalg.eigh(a_sl)[1][:, -1]  # eigenvalue 1.567; 0.65 * 1.567 > 1
+    rng = np.random.default_rng(0)
+    values = {m: rng.standard_normal((5, 1)) for m in ("x", "y")}
+    _, hidden = mask_features(FeatureSet.create(list(values.items())), 0.4, 0)
+    observed = np.setdiff1d(np.arange(5), hidden.indices["x"])
+    x, e = values["x"][observed, 0], top[observed]
+    values["x"][observed, 0] = x - e * (x @ e) / (e @ e)
+    f = FeatureSet.create(list(values.items()))
+    kwargs = dict(
+        methods=["pers-pagerank"], top_k_grid=[10], hops_grid=[1, 2],
+        hide_fraction=0.4, seed=0, alpha=0.35,
+    )
+    want = sweep_outcome(per_config_sweep, r, f, **kwargs)
+    assert sweep_outcome(run_sweep, r, f, **kwargs) == want
+    deep = dict(kwargs, hops_grid=[2])
+    assert want[0] == "DivergentDiffusion"
+    assert sweep_outcome(per_config_sweep, r, f, **deep)[1] != want[1]

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from mmimpute import (
     DivergentDiffusion,
     FeatureSet,
     ImputeConfig,
+    InteractionMatrix,
     InvalidParameter,
     NoObservedFeatures,
     build_interaction_matrix,
@@ -494,3 +498,59 @@ def test_modality_independence():
     )
     out2, _ = impute(altered, r, ImputeConfig(method="multihop", hops=2))
     assert np.array_equal(out.matrices["text"], out2.matrices["text"])
+
+
+@pytest.mark.parametrize("method", ["multihop", "pers-pagerank"])
+def test_impute_hook_sees_each_depth(method):
+    # at hop t the hook sees, byte for byte, what impute returns with
+    # hops=t: cold masked rows (the last two items have no interactions)
+    # hold the fallback; passing the hook changes nothing
+    rng = np.random.default_rng(8)
+    n = 18
+    pairs = [(u, int(i)) for u in range(12) for i in rng.choice(n - 2, 3, replace=False)]
+    r = InteractionMatrix.from_pairs(pairs, 12, n)
+    matrices, masks = {}, {}
+    for m, dim in (("text", 3), ("visual", 2)):
+        masks[m] = rng.random(n) < 0.3
+        masks[m][-2:] = True
+        masks[m][0] = False
+        matrices[m] = np.where(masks[m][:, None], 0.0, rng.standard_normal((n, dim)))
+    f = FeatureSet(("text", "visual"), matrices, masks)
+    cfg = ImputeConfig(method=method, top_k=2, hops=5)
+    seen = {}
+
+    def hook(m, t, x):
+        seen[m, t] = x.tobytes()
+
+    hooked, hooked_report = impute(f, r, cfg, on_iteration=hook)
+    plain, plain_report = impute(f, r, cfg)
+    for report in (hooked_report, plain_report):
+        report.pop("timing")
+    assert json.dumps(hooked_report) == json.dumps(plain_report)
+    assert all(d["cold_items"] >= 2 for d in plain_report["modalities"].values())
+    assert sorted(seen) == [(m, t) for m in f.modalities for t in range(1, 6)]
+    for t in range(1, 6):
+        out, _ = impute(f, r, dataclasses.replace(cfg, hops=t))
+        for m in f.modalities:
+            assert seen[m, t] == out.matrices[m].tobytes(), (m, t)
+            assert out.matrices[m][-1].any()  # the global-mean fallback
+    for m in f.modalities:
+        assert hooked.matrices[m].tobytes() == plain.matrices[m].tobytes()
+
+
+def test_impute_hook_restores_cold_placeholders():
+    # Items 0-3 are observed and form an eigenvector of A_sl with
+    # eigenvalue 1, so each fixed point converges in one step. Item 4 is
+    # masked and cold. Were its fallback (nonzero here) left in place after
+    # the hook, the next fixed point would read it and take another step.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2)]
+    r = InteractionMatrix.from_pairs(
+        [(u, i) for u, edge in enumerate(edges) for i in edge], len(edges), 5
+    )
+    v = np.array([0.0, 0.5**0.5, 0.5**0.5, -1.0, 0.0])
+    f = feature_set(np.column_stack((v, 2 * v)), [False] * 4 + [True])
+    cfg = ImputeConfig(method="pers-pagerank", top_k=3, hops=3)
+    _, plain = impute(f, r, cfg)
+    _, hooked = impute(f, r, cfg, on_iteration=lambda m, t, x: None)
+    assert plain["modalities"]["m"]["fixed_point_steps"] == [1, 1, 1]
+    assert hooked["modalities"] == plain["modalities"]

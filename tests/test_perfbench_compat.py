@@ -75,3 +75,19 @@ def test_traced_drop_runs(tmp_path):
     # the beauty-drop workload: parse, drop_missing, write_dataset
     names = {span[2] for span in traced_run(tmp_path, "drop", [])["spans"]}
     assert {"evaluate.drop_missing", "io.write_dataset"} <= names
+
+
+def test_traced_evaluate_runs(tmp_path):
+    # the office-sweep workload: each graph method builds one graph per
+    # top-k, and multihop and pers-pagerank hop to max T once per top-k
+    methods = ["zeros", "global-mean", "neigh-mean", "multihop", "pers-pagerank"]
+    flags = [
+        "--hide-fraction", "0.2", "--methods", ",".join(methods),
+        "--top-k-grid", "1:2:1", "--hops-grid", "1:3:1",
+    ]
+    counts = traced_run(tmp_path, "evaluate", flags)["counts"]
+    rows = json.loads((tmp_path / "out").read_text())["rows"]
+    assert counts["evaluate.configs"] == len(rows) == 1 + 1 + 2 + 2 * 2 * 3
+    # 2 top-k values x max T 3 x 2 hopping methods x 1 masked modality
+    assert counts["imputers.hops"] == 2 * 3 * 2 * 1
+    assert counts["graph.topk_sparsify.calls"] == 3 * 2
