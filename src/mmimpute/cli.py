@@ -105,7 +105,6 @@ def _load_dataset(args):
 
 
 def _cmd_impute(args) -> int:
-    r, f = _load_dataset(args)
     cfg = ImputeConfig(
         method=args.method,
         top_k=args.top_k,
@@ -116,6 +115,7 @@ def _cmd_impute(args) -> int:
         iter_tolerance=args.iter_tolerance,
         clamp=not args.no_clamp,
     )
+    r, f = _load_dataset(args)
     imputed, report = impute(f, r, cfg)
     out = Path(args.out)
     report["outputs"] = write_feature_set(out, imputed)
@@ -305,6 +305,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # every read converts its own; this is an output
+        where = "output" if exc.filename is None else exc.filename
+        print(f"data error: {where}: cannot write: {exc.strerror}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

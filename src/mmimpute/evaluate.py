@@ -192,8 +192,8 @@ def synth_generate(
         raise InvalidParameter("n_communities must be at least 1")
     if not (0.0 <= p_out < p_in <= 1.0):
         raise InvalidParameter(f"need 0 <= p_out < p_in <= 1, got p_in={p_in} p_out={p_out}")
-    if noise_sigma < 0.0:
-        raise InvalidParameter("noise_sigma must be nonnegative")
+    if not (0.0 <= noise_sigma < np.inf):
+        raise InvalidParameter("noise_sigma must be finite and nonnegative")
     if not dims:
         raise InvalidParameter("at least one modality dimension is required")
     check_seed(seed)

@@ -130,8 +130,8 @@ class ImputeConfig:
         check_seed(self.seed)
         if self.cold_fallback not in FALLBACKS:
             raise InvalidParameter(f"unknown cold_fallback '{self.cold_fallback}'")
-        if not (self.iter_tolerance > 0.0):
-            raise InvalidParameter("iter_tolerance must be positive")
+        if not (0.0 < self.iter_tolerance < np.inf):
+            raise InvalidParameter("iter_tolerance must be positive and finite")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -216,7 +216,9 @@ def topk_sparsify(g: ItemGraph, k: int) -> ItemGraph:
     """Keep each row's k strongest co-interaction edges and binarize.
 
     Ties in counts break toward the lower item index. An edge survives if
-    either endpoint selects it, so the result stays symmetric.
+    either endpoint selects it, so the result stays symmetric. The kept
+    edges are marked 0/1 over the stored counts; only rows longer than k
+    are ranked. The input graph is never modified.
     """
     if g.kind != KIND_COUNTS:
         raise InvalidParameter("top-k sparsification expects a counts graph")
@@ -224,27 +226,14 @@ def topk_sparsify(g: ItemGraph, k: int) -> ItemGraph:
         raise InvalidParameter(f"top-k must be at least 1, got {k}")
     adj = g.adjacency
     indptr, indices, data = adj.indptr, adj.indices, adj.data
-    sel_rows: list[np.ndarray] = []
-    sel_cols: list[np.ndarray] = []
-    for i in range(g.n_items):
-        cols = indices[indptr[i]:indptr[i + 1]]
-        if cols.size == 0:
-            continue
-        if cols.size > k:
-            counts = data[indptr[i]:indptr[i + 1]]
-            keep = np.lexsort((cols, -counts))[:k]  # count desc, index asc
-            cols = cols[keep]
-        sel_rows.append(np.full(cols.size, i, dtype=np.int64))
-        sel_cols.append(cols.astype(np.int64))
-    n = g.n_items
-    if not sel_rows:
-        empty = sp.csr_matrix((n, n), dtype=np.int64)
-        return ItemGraph(empty, KIND_BINARY, np.zeros(n, dtype=np.int64))
-    rows = np.concatenate(sel_rows)
-    cols = np.concatenate(sel_cols)
-    directed = sp.coo_matrix(
-        (np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(n, n)
-    ).tocsr()
+    keep = np.ones(indices.size, dtype=np.int64)
+    for i in np.flatnonzero(np.diff(indptr) > k):
+        lo, hi = indptr[i], indptr[i + 1]
+        order = np.lexsort((indices[lo:hi], -data[lo:hi]))  # count desc, index asc
+        keep[lo + order[k:]] = 0
+    # own index arrays: eliminate_zeros prunes in place
+    directed = sp.csr_matrix((keep, indices.copy(), indptr.copy()), shape=adj.shape)
+    directed.eliminate_zeros()
     sym = (directed + directed.T).tocsr()
     sym.data[:] = 1
     sym.sort_indices()

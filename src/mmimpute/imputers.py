@@ -37,8 +37,8 @@ FIXED_POINT_STEP_CAP = 500
 
 IterationHook = Callable[[str, int, np.ndarray], None]
 # (modality, rows) -> step mapping the current matrix to its `rows` after
-# one hop; rows=None means every row
-RowStep = Callable[[str, np.ndarray | None], Callable[[np.ndarray], np.ndarray]]
+# one hop; `rows` is the masked row indices, or slice(None) for every row
+RowStep = Callable[[str, np.ndarray | slice], Callable[[np.ndarray], np.ndarray]]
 
 
 def _cleared(f: FeatureSet, matrices: dict[str, np.ndarray]) -> FeatureSet:
@@ -138,10 +138,6 @@ def _fill_cold(f: FeatureSet, g: ItemGraph, m: str, x: np.ndarray, fallback: str
     return cold
 
 
-def _take_rows(a, rows: np.ndarray | None):
-    return a if rows is None else a[rows]
-
-
 def _propagate(
     f: FeatureSet,
     hops: int,
@@ -151,9 +147,10 @@ def _propagate(
 ) -> dict[str, np.ndarray]:
     """Shared hop loop that computes only the rows each hop must produce.
 
-    With `clamp` on, observed rows never change, so every hop updates just
-    the masked rows: `x[rows] = step(x)`. With `clamp` off, `rows` is None
-    and each hop recomputes every row. `row_step(m, rows)` builds the step
+    Every hop is `x[rows] = step(x)`. With `clamp` on, observed rows never
+    change, so `rows` is the masked rows; with `clamp` off, `rows` is
+    `slice(None)`, each hop recomputes every row, and the observed rows
+    are restored after the last hop. `row_step(m, rows)` builds the step
     once per modality, so an operator is sliced to `rows` once, not once
     per hop. A modality with no masked rows is copied through with no hops
     and no `on_iteration` calls. The hook sees the whole matrix, which
@@ -164,16 +161,13 @@ def _propagate(
         mask = f.masks[m]
         x = _zero_init(f, m)
         if mask.any():
-            rows = np.flatnonzero(mask) if clamp else None
+            rows = np.flatnonzero(mask) if clamp else slice(None)
             step = row_step(m, rows)
             for t in range(1, hops + 1):
-                if rows is None:
-                    x = step(x)
-                else:
-                    x[rows] = step(x)
+                x[rows] = step(x)
                 if on_iteration is not None:
                     on_iteration(m, t, x)
-            if rows is None:  # unclamped hops moved them; outputs keep the inputs
+            if not clamp:  # unclamped hops moved them; outputs keep the inputs
                 x[~mask] = f.matrices[m][~mask]
         out[m] = x
     return out
@@ -201,7 +195,7 @@ def impute_multihop(
     s = op.matrix
 
     def row_step(m, rows):
-        s_rows = _take_rows(s, rows)
+        s_rows = s[rows]
         return lambda x: s_rows @ x
 
     out = _propagate(f, hops, row_step, clamp, on_iteration)
@@ -253,8 +247,8 @@ def _pers_pagerank(
 ) -> tuple[FeatureSet, dict[str, dict]]:
     if hops < 1:
         raise InvalidParameter(f"hops must be at least 1, got {hops}")
-    if not (iter_tolerance > 0.0):
-        raise InvalidParameter("iter_tolerance must be positive")
+    if not (0.0 < iter_tolerance < np.inf):
+        raise InvalidParameter("iter_tolerance must be positive and finite")
     _check_graph(f, g)
     a_sl = ppr_iterative(g, alpha).matrix
     steps: dict[str, list[int]] = {m: [] for m in f.modalities}
@@ -266,7 +260,7 @@ def _pers_pagerank(
             result, n_steps, residual = _ppr_fixed_point(a_sl, alpha, x, iter_tolerance)
             steps[m].append(n_steps)
             residuals[m].append(residual)
-            return _take_rows(result, rows)
+            return result[rows]
 
         return step
 

@@ -126,6 +126,40 @@ def coo_filter_cooccurrence(r):
     return counts
 
 
+def row_list_topk_sparsify(g, k):
+    """Top-k sparsification rebuilt row by row through a COO matrix.
+
+    Each row's kept columns are collected in lists, concatenated and
+    symmetrized; a graph with no edges is built directly. The reference
+    `topk_sparsify` must match array for array, dtypes included.
+    """
+    adj = g.adjacency
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    sel_rows, sel_cols = [], []
+    for i in range(g.n_items):
+        cols = indices[indptr[i]:indptr[i + 1]]
+        if cols.size == 0:
+            continue
+        if cols.size > k:
+            counts = data[indptr[i]:indptr[i + 1]]
+            cols = cols[np.lexsort((cols, -counts))[:k]]
+        sel_rows.append(np.full(cols.size, i, dtype=np.int64))
+        sel_cols.append(cols.astype(np.int64))
+    n = g.n_items
+    if not sel_rows:
+        empty = sp.csr_matrix((n, n), dtype=np.int64)
+        return ItemGraph(empty, KIND_BINARY, np.zeros(n, dtype=np.int64))
+    rows = np.concatenate(sel_rows)
+    cols = np.concatenate(sel_cols)
+    directed = sp.coo_matrix(
+        (np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(n, n)
+    ).tocsr()
+    sym = (directed + directed.T).tocsr()
+    sym.data[:] = 1
+    sym.sort_indices()
+    return ItemGraph(sym, KIND_BINARY, np.diff(sym.indptr).astype(np.int64))
+
+
 def naive_neigh_mean(matrix, mask, graph, fallback_row):
     """Per-item neighbor-average loop over the zero-initialized matrix."""
     init = np.asarray(matrix, dtype=np.float64).copy()

@@ -283,3 +283,65 @@ def test_seed_out_of_range_is_usage_error(tmp_path, capsys, command, seed):
     assert main([*argv, "--seed", seed, "--out", str(out)]) == 1
     assert "error: seed must be an unsigned 64-bit integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_finite_iter_tolerance_is_usage_error(tmp_path, capsys):
+    # inf passed `> 0` and made every fixed point stop after one step
+    out = tmp_path / "out"
+    for tolerance in ("inf", "nan"):
+        code = main([
+            "impute", *tiny_dataset(tmp_path), "--method", "pers-pagerank",
+            "--iter-tolerance", tolerance, "--out", str(out),
+        ])
+        assert code == 1
+        assert "iter_tolerance must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SMALL_SYNTH = [
+    "synth", "--users", "20", "--items", "10", "--communities", "2",
+    "--p-in", "0.5", "--p-out", "0.05", "--dims", "text=2",
+]
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_noise_sigma_is_usage_error(tmp_path, capsys, sigma):
+    out = tmp_path / "out"
+    code = main([*SMALL_SYNTH, "--noise-sigma", sigma, "--out", str(out)])
+    assert code == 1
+    assert "noise_sigma must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def unwritable_argv(tmp_path, command, where):
+    """argv whose --out cannot be written, and the path the error names."""
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    if command == "synth":
+        argv = SMALL_SYNTH
+    elif command == "impute":
+        argv = ["impute", *tiny_dataset(tmp_path), "--method", "zeros"]
+    elif command == "evaluate":
+        argv = ["evaluate", *tiny_dataset(tmp_path), "--hide-fraction", "0.5", "--methods", "zeros"]
+    else:
+        argv = [command, *tiny_dataset(tmp_path)]
+    out = {"file": taken, "directory": tmp_path, "missing-parent": tmp_path / "no" / "r.json"}[where]
+    return [*argv, "--out", str(out)], out
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [
+        ("impute", "file"),
+        ("drop", "file"),
+        ("synth", "file"),
+        ("evaluate", "directory"),
+        ("evaluate", "missing-parent"),
+    ],
+)
+def test_unwritable_output_is_data_error(tmp_path, capsys, command, where):
+    argv, out = unwritable_argv(tmp_path, command, where)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {out}: cannot write: ")
+    assert "Traceback" not in err

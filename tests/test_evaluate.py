@@ -357,6 +357,12 @@ def test_synth_parameter_validation():
         synth_generate(0, 10, 2, 0.5, 0.1, [("m", 2)], 0.1, 0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_synth_rejects_non_finite_noise(sigma):
+    with pytest.raises(InvalidParameter):
+        synth_generate(10, 10, 2, 0.5, 0.1, [("m", 2)], sigma, 0)
+
+
 def test_run_sweep_grid_shape():
     r, f = synth_generate(60, 30, 3, 0.5, 0.05, [("m", 8)], 0.1, seed=4)
     rows = run_sweep(

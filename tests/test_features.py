@@ -83,6 +83,7 @@ def test_feature_set_shape_checks():
         {"method": "zeros", "cold_fallback": "mean"},
         {"method": "zeros", "iter_tolerance": 0.0},
         {"method": "zeros", "iter_tolerance": float("nan")},
+        {"method": "zeros", "iter_tolerance": float("inf")},
     ],
 )
 def test_impute_config_validation(kwargs):

@@ -24,6 +24,7 @@ from helpers import (
     counts_graph,
     random_connected_graph,
     random_interactions,
+    row_list_topk_sparsify,
 )
 
 
@@ -189,6 +190,39 @@ def test_topk_tie_rule_matches_exhaustive_sort():
                 expected[i, j] = True
         expected |= expected.T  # union re-symmetrization
         assert np.array_equal(s.adjacency.toarray().astype(bool), expected)
+
+
+def tied_counts_graph(rng):
+    """Symmetric counts graph with counts in 1..3, so most rows tie.
+
+    Drawn either as a random dense pattern (some items isolated, some
+    graphs without edges) or as the co-occurrence of random interactions.
+    """
+    if rng.random() < 0.5:
+        return cooccurrence(random_interactions(rng))
+    n = int(rng.integers(1, 40))
+    upper = np.triu(rng.random((n, n)) < rng.choice([0.0, 0.05, 0.3, 0.9]), 1)
+    counts = np.where(upper, rng.integers(1, 4, size=(n, n)), 0)
+    return counts_graph(n, [(i, j, counts[i, j]) for i, j in zip(*np.nonzero(counts))])
+
+
+def graph_arrays(g):
+    a = g.adjacency
+    return [(arr.dtype, arr.tobytes()) for arr in (a.indptr, a.indices, a.data, g.degrees)]
+
+
+def test_topk_arrays_match_row_list_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        g = tied_counts_graph(rng)
+        before = graph_arrays(g)
+        top = int(g.degrees.max()) if g.degrees.size else 0
+        for k in sorted({1, 2, int(rng.integers(1, top + 2)), max(top, 1), top + 3}):
+            got, want = topk_sparsify(g, k), row_list_topk_sparsify(g, k)
+            assert got.kind == want.kind == KIND_BINARY
+            assert got.adjacency.shape == want.adjacency.shape
+            assert graph_arrays(got) == graph_arrays(want)
+            assert graph_arrays(g) == before  # the counts graph is reused across k
 
 
 def test_topk_rejects_zero():

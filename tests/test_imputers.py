@@ -12,6 +12,7 @@ from mmimpute import (
     InvalidParameter,
     NoObservedFeatures,
     build_interaction_matrix,
+    cooccurrence,
     impute,
     impute_global_mean,
     impute_multihop,
@@ -21,6 +22,7 @@ from mmimpute import (
     impute_zeros,
     ppr_iterative,
     sym_norm_adjacency,
+    topk_sparsify,
 )
 
 from mmimpute.imputers import _ppr_fixed_point
@@ -34,6 +36,7 @@ from helpers import (
     naive_neigh_mean,
     random_connected_graph,
     random_feature_set,
+    random_interactions,
 )
 
 
@@ -554,3 +557,68 @@ def test_impute_hook_restores_cold_placeholders():
     _, hooked = impute(f, r, cfg, on_iteration=lambda m, t, x: None)
     assert plain["modalities"]["m"]["fixed_point_steps"] == [1, 1, 1]
     assert hooked["modalities"] == plain["modalities"]
+
+
+def graph_stage_datasets():
+    """(name, interactions, top_k) for three corner cases of the top-k graph."""
+    rng = np.random.default_rng(13)
+    # one item per user: no co-interactions; the last item has no user
+    no_edges = InteractionMatrix.from_pairs([(u, u) for u in range(6)], 6, 7)
+    # item 0 shares a user with every other item; top-k 2 keeps the hub
+    # only through the other endpoints' picks
+    hub = InteractionMatrix.from_pairs(
+        [(u, 0) for u in range(8)] + [(u, u + 1) for u in range(8)] + [(0, 2), (3, 5)], 8, 9
+    )
+    # random, plus one item with no user; top-k far above every degree
+    r = random_interactions(rng, max_users=20, max_items=15)
+    above = InteractionMatrix.from_pairs(
+        np.column_stack(r.matrix.nonzero()), r.n_users, r.n_items + 1
+    )
+    return [("no-edges", no_edges, 3), ("hub", hub, 2), ("top-k-above", above, 10**6)]
+
+
+def cold_reference(r, mask):
+    """Masked items that share no user with any other item, from dense counts."""
+    m = r.matrix.toarray()
+    counts = m.T @ m
+    np.fill_diagonal(counts, 0)
+    return mask & ~(counts > 0).any(axis=1)
+
+
+GRAPH_STAGE_DATASETS = graph_stage_datasets()
+
+
+@pytest.mark.parametrize("fallback", ["zeros", "global-mean"])
+@pytest.mark.parametrize("method", ["neigh-mean", "multihop", "pers-pagerank"])
+@pytest.mark.parametrize(
+    "name, r, top_k", GRAPH_STAGE_DATASETS, ids=[d[0] for d in GRAPH_STAGE_DATASETS]
+)
+def test_graph_stage_corner_cases(name, r, top_k, method, fallback):
+    rng = np.random.default_rng(len(name))
+    feats, mask = rng.standard_normal((r.n_items, 3)), rng.random(r.n_items) < 0.5
+    mask[0], mask[-1] = False, True  # one observed row, and the userless item is cold
+    f = feature_set(feats, mask)
+    cfg = ImputeConfig(method=method, top_k=top_k, hops=3, cold_fallback=fallback)
+    out, report = impute(f, r, cfg)
+    x, observed, cold = out.matrices["m"], ~mask, cold_reference(r, mask)
+    assert x[observed].tobytes() == f.matrices["m"][observed].tobytes()
+    want = np.zeros(3) if fallback == "zeros" else f.matrices["m"][observed].mean(axis=0)
+    assert np.array_equal(x[cold], np.broadcast_to(want, (int(cold.sum()), 3)))
+    assert report["modalities"]["m"]["cold_items"] == int(cold.sum())
+    assert np.isfinite(x).all() and not out.masks["m"].any()
+    if name == "no-edges":
+        assert np.array_equal(cold, mask)
+    if name == "hub":
+        assert topk_sparsify(cooccurrence(r), top_k).degrees[0] == r.n_items - 1
+    if name == "top-k-above":  # no edge is dropped: the same as top-k at the largest degree
+        top = int(cooccurrence(r).degrees.max())
+        same, _ = impute(f, r, dataclasses.replace(cfg, top_k=top))
+        assert same.matrices["m"].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
+def test_ppr_rejects_non_finite_tolerance(tolerance):
+    g = binary_graph(2, [(0, 1)])
+    f = feature_set([[1.0], [0.0]], [False, True])
+    with pytest.raises(InvalidParameter):
+        impute_pers_pagerank(f, g, 0.85, 1, iter_tolerance=tolerance)
