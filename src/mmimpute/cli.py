@@ -6,13 +6,15 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from .errors import DataError, InconsistentData, InvalidParameter, NumericalError, UsageError
-from .evaluate import dataset_stats, drop_missing, run_sweep, synth_generate
+from .evaluate import check_hide_fraction, dataset_stats, drop_missing, run_sweep, synth_generate
 from .features import FALLBACKS, ImputeConfig, METHODS, validate
 from .imputers import impute
 from .io import load_feature_set, read_interactions, write_dataset, write_feature_set
@@ -93,6 +95,17 @@ def _dump_json(path, payload):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True, indent=2)
         handle.write("\n")
+
+
+def _check_writable(path):
+    """Raise the OSError that writing `path` would, without creating or truncating it."""
+    try:  # an existing path; O_NONBLOCK keeps a pipe with no reader from blocking
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+    except FileNotFoundError:  # a new file: its directory must exist and take it
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.access(parent, os.W_OK | os.X_OK):
+            code = errno.EACCES if os.path.isdir(parent) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path) from None
 
 
 def _load_dataset(args):
@@ -176,13 +189,23 @@ def _cmd_synth(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     started = time.perf_counter()
+    # every flag, then the report path, is checked before anything is read
+    methods = parse_methods(args.methods)
+    top_k_grid, hops_grid = parse_grid(args.top_k_grid), parse_grid(args.hops_grid)
+    check_hide_fraction(args.hide_fraction)
+    for method in methods:  # the checks each configuration of the sweep makes
+        ImputeConfig(
+            method=method, alpha=args.alpha, seed=args.seed,
+            cold_fallback=args.fallback, iter_tolerance=args.iter_tolerance,
+        )
+    _check_writable(args.out)
     r, f = _load_dataset(args)
     rows = run_sweep(
         r,
         f,
-        parse_methods(args.methods),
-        parse_grid(args.top_k_grid),
-        parse_grid(args.hops_grid),
+        methods,
+        top_k_grid,
+        hops_grid,
         args.hide_fraction,
         args.seed,
         alpha=args.alpha,

@@ -102,14 +102,20 @@ def drop_missing(
     return matrix, pruned, before, after
 
 
+def check_hide_fraction(fraction: float):
+    """Raise InvalidParameter unless 0 < fraction < 1."""
+    if not (0.0 < fraction < 1.0):
+        raise InvalidParameter(f"hide fraction must be in (0, 1), got {fraction}")
+
+
 def mask_features(f: FeatureSet, fraction: float, seed: int) -> tuple[FeatureSet, HiddenRows]:
     """Hide floor(fraction * observed) rows per modality, without replacement.
 
-    The hidden rows become zero placeholders in the returned copy; their
-    original values are handed back as ground truth.
+    The hidden rows become zero placeholders in the returned copy, which
+    keeps the input's precision; their original values are handed back
+    as float64 ground truth, so scores are computed in float64.
     """
-    if not (0.0 < fraction < 1.0):
-        raise InvalidParameter(f"hide fraction must be in (0, 1), got {fraction}")
+    check_hide_fraction(fraction)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     matrices = {}
@@ -125,7 +131,7 @@ def mask_features(f: FeatureSet, fraction: float, seed: int) -> tuple[FeatureSet
             )
         chosen = np.sort(rng.choice(observed, size=n_hide, replace=False))
         mat = f.matrices[m].copy()
-        values[m] = mat[chosen].copy()
+        values[m] = mat[chosen].astype(np.float64)
         indices[m] = chosen
         mat[chosen] = 0.0
         mask = f.masks[m].copy()

@@ -1,4 +1,9 @@
-"""Per-modality item feature matrices with whole-vector missingness masks."""
+"""Per-modality item feature matrices with whole-vector missingness masks.
+
+Matrices keep float32 when they arrive as float32, the precision of the
+on-disk format, so loading, dropping and writing a catalog never widens
+it; any other input is held as float64. Imputers compute in float64.
+"""
 
 from __future__ import annotations
 
@@ -22,7 +27,8 @@ class FeatureSet:
     `masks[m][i]` is True when item i's modality-m vector is missing; the
     corresponding matrix row is a zero placeholder until an imputer fills
     it. Modalities may have different dimensionalities. Matrices are held
-    as float64; the on-disk format is single precision (see `io`).
+    C-contiguous: float32 input stays float32, the precision of the
+    on-disk format (see `io`), and any other input becomes float64.
     """
 
     modalities: tuple[str, ...]
@@ -40,7 +46,9 @@ class FeatureSet:
         masks = {}
         n_items = None
         for m in self.modalities:
-            mat = np.ascontiguousarray(np.asarray(self.matrices[m], dtype=np.float64))
+            mat = np.asarray(self.matrices[m])
+            dtype = np.float32 if mat.dtype == np.float32 else np.float64
+            mat = np.ascontiguousarray(mat, dtype=dtype)
             if mat.ndim != 2:
                 raise InvalidParameter(f"modality '{m}': feature matrix must be 2-d")
             if n_items is None:
@@ -71,14 +79,17 @@ class FeatureSet:
         matrices: Mapping[str, np.ndarray] | Sequence[tuple[str, np.ndarray]],
         masks: Mapping[str, np.ndarray] | None = None,
     ) -> "FeatureSet":
-        """Build from (name, matrix) pairs; masks default to all-observed."""
+        """Build from (name, matrix) pairs; masks default to all-observed.
+
+        Matrix precision follows the constructor: float32 stays float32,
+        anything else becomes float64. `masks` must name exactly the
+        modalities of `matrices`.
+        """
         items = list(matrices.items()) if isinstance(matrices, Mapping) else list(matrices)
         names = tuple(name for name, _ in items)
-        mats = {name: np.asarray(mat, dtype=np.float64) for name, mat in items}
+        mats = {name: np.asarray(mat) for name, mat in items}
         if masks is None:
             masks = {name: np.zeros(mat.shape[0], dtype=bool) for name, mat in mats.items()}
-        else:
-            masks = {name: np.asarray(masks[name], dtype=bool) for name in names}
         return cls(names, mats, masks)
 
 

@@ -1,13 +1,16 @@
 """Imputation strategies over feature sets.
 
 All imputers are pure: they return a new FeatureSet with every mask
-cleared and leave observed rows byte-identical to their inputs. Masked
-rows always enter the computation as zero placeholders, so items whose
-neighbors are themselves missing contribute nothing to a neighborhood
-average. The graph-aware strategies consume structures from `graph`.
-Because observed rows never change under clamping, the graph methods
-compute only masked rows: neighbor means and clamped hops multiply the
-operator's masked rows, never the whole matrix.
+cleared and leave observed rows equal to their inputs. Outputs are
+float64: each imputer widens its input once, into the working copy it
+fills, so a float32 input gives the same bits as its exact float64
+widening. Masked rows always enter the computation as zero
+placeholders, so items whose neighbors are themselves missing
+contribute nothing to a neighborhood average. The graph-aware
+strategies consume structures from `graph`. Because observed rows never
+change under clamping, the graph methods compute only masked rows:
+neighbor means and clamped hops multiply the operator's masked rows,
+never the whole matrix.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ def _cleared(f: FeatureSet, matrices: dict[str, np.ndarray]) -> FeatureSet:
 
 
 def _zero_init(f: FeatureSet, modality: str) -> np.ndarray:
-    x = f.matrices[modality].copy()
+    """The float64 working copy of a matrix, with masked rows zeroed."""
+    x = f.matrices[modality].astype(np.float64)
     x[f.masks[modality]] = 0.0
     return x
 
@@ -56,7 +60,7 @@ def _observed_mean(f: FeatureSet, modality: str) -> np.ndarray:
     observed = ~f.masks[modality]
     if not observed.any():
         raise NoObservedFeatures(f"modality '{modality}' has no observed rows")
-    return f.matrices[modality][observed].mean(axis=0)
+    return f.matrices[modality][observed].astype(np.float64).mean(axis=0)
 
 
 def _fallback_row(f: FeatureSet, modality: str, fallback: str) -> np.ndarray:
@@ -89,7 +93,7 @@ def impute_random(f: FeatureSet, seed: int) -> FeatureSet:
     rng = np.random.default_rng(seed)
     out = {}
     for m in f.modalities:
-        x = f.matrices[m].copy()
+        x = f.matrices[m].astype(np.float64)
         idx = np.flatnonzero(f.masks[m])
         if idx.size:
             x[idx] = rng.random((idx.size, f.dim(m)))

@@ -3,9 +3,11 @@
 Interactions are UTF-8 text, one "user_id<TAB>item_id" per line; blank
 lines, lines starting with '#' and a leading byte-order mark are ignored. Feature matrices use a
 little-endian binary format: the 8-byte magic "FMATv1\\0\\0", two u64
-dimensions (rows, columns), then the float32 row-major payload. Masks
-are text, one "item_id<TAB>modality_name" per line, resolved against
-the interaction vocabulary.
+dimensions (rows, columns), then the float32 row-major payload. They
+load as float32 and stay float32 through dropping and reordering; a
+float32 matrix is written without conversion. Masks are text, one
+"item_id<TAB>modality_name" per line, resolved against the interaction
+vocabulary.
 
 Feature rows are keyed by item index, i.e. by first appearance of the
 item id in the interactions file. `write_dataset` writes in the
@@ -16,6 +18,8 @@ be read or is not UTF-8 raises ParseError (text) or FormatError (.fmat).
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from itertools import repeat
 from pathlib import Path
@@ -106,31 +110,44 @@ def write_interactions(path, r: InteractionMatrix):
 
 
 def read_feature_matrix(path) -> np.ndarray:
-    """Load one modality's matrix; returns float64 widened from float32."""
+    """Load one modality's matrix as float32, the precision it is stored at.
+
+    The header and the file size are checked before the payload is
+    allocated, so a header that claims more data than the file holds
+    fails without allocating; the payload is then read straight into
+    the returned array. The file must be a regular file, not a pipe,
+    since its size is checked before it is read.
+    """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            header = handle.read(_HEADER.size)
+            if len(header) < _HEADER.size:
+                raise FormatError(f"{path}: truncated header")
+            magic, n_items, dim = _HEADER.unpack(header)
+            if magic != FEATURE_MAGIC:
+                raise FormatError(f"{path}: bad magic {magic!r}")
+            st = os.fstat(handle.fileno())
+            if not stat.S_ISREG(st.st_mode):  # only a regular file has a size to check
+                raise FormatError(f"{path}: not a regular file")
+            size = st.st_size - _HEADER.size
+            if size != n_items * dim * 4:
+                raise FormatError(
+                    f"{path}: payload is {size} bytes, expected {n_items} x {dim} x 4"
+                )
+            matrix = np.empty((n_items, dim), dtype="<f4")
+            read = handle.readinto(matrix)
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
-    if len(data) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, n_items, dim = _HEADER.unpack_from(data)
-    if magic != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    expected = _HEADER.size + n_items * dim * 4
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(data) - _HEADER.size} bytes, "
-            f"expected {n_items} x {dim} x 4"
-        )
-    payload = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
-    return payload.reshape(n_items, dim).astype(np.float64)
+    if read != size:  # the file shrank after its size was taken
+        raise FormatError(f"{path}: payload is {read} bytes, expected {n_items} x {dim} x 4")
+    return matrix.astype(np.float32, copy=False)
 
 
 def write_feature_matrix(path, matrix: np.ndarray):
     """Store a matrix at single precision. Values must be finite.
 
-    Single-precision inputs round-trip bit-exactly; higher precision is
-    rounded to float32 on write.
+    Single-precision inputs are written as they are, bit-exactly; higher
+    precision is rounded to float32 on write.
     """
     arr = np.asarray(matrix)
     if arr.ndim != 2:
@@ -140,7 +157,7 @@ def write_feature_matrix(path, matrix: np.ndarray):
     payload = np.ascontiguousarray(arr, dtype="<f4")
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(FEATURE_MAGIC, arr.shape[0], arr.shape[1]))
-        handle.write(payload.tobytes())
+        handle.write(payload)
 
 
 def read_mask(path, r: InteractionMatrix) -> dict[str, set[int]]:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmimpute import InvalidParameter
+from mmimpute import DivergentDiffusion, InvalidParameter
 from mmimpute.cli import main, parse_dims, parse_features, parse_grid, parse_methods
 from mmimpute.io import read_feature_matrix, write_feature_matrix
 
@@ -345,3 +349,71 @@ def test_unwritable_output_is_data_error(tmp_path, capsys, command, where):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {out}: cannot write: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--iter-tolerance", "inf"], "iter_tolerance must be positive and finite"),
+        (["--methods", "bogus"], "unknown method 'bogus'"),
+        (["--hide-fraction", "1.5"], "hide fraction must be in (0, 1), got 1.5"),
+        (["--top-k-grid", "5:1:1"], "bad grid '5:1:1'"),
+        (["--hops-grid", "0:3:1"], "bad grid '0:3:1'"),
+        (["--alpha", "0"], "alpha must be in (0, 1]"),
+        (["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
+    ],
+    ids=["iter-tolerance", "methods", "hide-fraction", "top-k-grid", "hops-grid", "alpha", "seed"],
+)
+def test_evaluate_checks_flags_before_reading(tmp_path, capsys, flags, message):
+    # the input does not exist, so any read would exit 2 with "cannot read"
+    out = tmp_path / "report.json"
+    argv = [
+        "evaluate", "--interactions", str(tmp_path / "missing.tsv"),
+        "--features", f"text={tmp_path / 'missing.fmat'}",
+        "--hide-fraction", "0.5", "--methods", "zeros,multihop",
+    ]
+    assert main([*argv, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "cannot read" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_evaluate_checks_out_before_the_sweep(tmp_path, capsys, monkeypatch, where):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("mmimpute.cli.run_sweep", no_sweep)
+    argv, out = unwritable_argv(tmp_path, "evaluate", where)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {out}: cannot write: ")
+    assert out.is_dir() if where == "directory" else not out.parent.exists()
+
+
+def test_evaluate_out_check_leaves_an_existing_report(tmp_path, monkeypatch):
+    # checking --out neither creates nor truncates it: a failed sweep
+    # leaves the previous report in place
+    def failing_sweep(*args, **kwargs):
+        raise DivergentDiffusion("diverged")
+
+    monkeypatch.setattr("mmimpute.cli.run_sweep", failing_sweep)
+    out = tmp_path / "report.json"
+    out.write_text("previous report\n")
+    argv = ["evaluate", *tiny_dataset(tmp_path), "--hide-fraction", "0.5", "--methods", "zeros"]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert out.read_text() == "previous report\n"
+
+
+def test_cli_import_stays_light():
+    # each of these costs about 130 ms of import time, which every
+    # command would pay; none of them is needed on the default path
+    heavy = ["scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.linalg"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = f"import sys, mmimpute.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from mmimpute import (
 )
 from mmimpute.graph import InteractionMatrix
 from mmimpute.io import (
+    FEATURE_MAGIC,
+    _HEADER,
     canonicalize_dataset,
     load_feature_set,
     read_feature_matrix,
@@ -68,8 +72,8 @@ def test_feature_matrix_round_trip(tmp_path):
     matrix = rng.standard_normal((7, 5)).astype(np.float32).astype(np.float64)
     write_feature_matrix(path, matrix)
     again = read_feature_matrix(path)
-    assert again.dtype == np.float64
-    assert again.tobytes() == matrix.tobytes()
+    assert again.dtype == np.float32
+    assert again.astype(np.float64).tobytes() == matrix.tobytes()
     # and the byte stream is a fixed point of write(read(...))
     first = path.read_bytes()
     write_feature_matrix(path, again)
@@ -276,3 +280,34 @@ def test_bulk_reader_matches_per_line_oracle(tmp_path):
         assert read_outcome(read_mask, path, r) == want, case
         kinds.add(want[0] if isinstance(want, tuple) else "ok mask")
     assert kinds == {"ok", "ok mask", ParseError, EmptyDataset, UnknownItem}
+
+
+def test_feature_matrix_huge_header_fails_before_allocating(tmp_path):
+    path = tmp_path / "m.fmat"
+    path.write_bytes(_HEADER.pack(FEATURE_MAGIC, 2**62, 2**62) + b"\0" * 8)
+    with pytest.raises(FormatError, match=f"payload is 8 bytes, expected {2**62} x {2**62} x 4"):
+        read_feature_matrix(path)
+
+
+def test_feature_matrix_keeps_float32_bits(tmp_path):
+    path = tmp_path / "m.fmat"
+    # every bit pattern survives, signed zeros and subnormals included
+    bits = np.array([0, 0x80000000, 1, 0x7F7FFFFF, 0x3F800000, 0xC0490FDB], dtype=np.uint32)
+    matrix = bits.view(np.float32).reshape(3, 2)
+    write_feature_matrix(path, matrix)
+    assert path.read_bytes()[_HEADER.size:] == bits.astype("<u4").tobytes()
+    again = read_feature_matrix(path)
+    assert again.dtype == np.float32 and again.tobytes() == matrix.tobytes()
+
+
+def test_feature_matrix_pipe_is_format_error(tmp_path):
+    # a pipe has no size to check before allocating
+    path = tmp_path / "m.fmat"
+    os.mkfifo(path)
+    fd = os.open(path, os.O_RDWR | os.O_NONBLOCK)  # holds the pipe open, so reads do not block
+    try:
+        os.write(fd, _HEADER.pack(FEATURE_MAGIC, 1, 1) + b"\0" * 4)
+        with pytest.raises(FormatError, match="not a regular file"):
+            read_feature_matrix(path)
+    finally:
+        os.close(fd)
