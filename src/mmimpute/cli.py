@@ -31,46 +31,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _split_named(parts: list[str], form: str) -> list[tuple[str, str]]:
+    """Split each "NAME=VALUE" part at its first '=', in order; names must differ."""
+    out: dict[str, str] = {}
+    for part in parts:
+        name, sep, value = part.partition("=")
+        if not sep or not name or not value:
+            raise InvalidParameter(f"expected {form}, got '{part}'")
+        if name in out:
+            raise InvalidParameter(f"modality '{name}' given twice")
+        out[name] = value
+    return list(out.items())
+
+
 def parse_features(specs: list[str]) -> list[tuple[str, str]]:
     """Parse repeated "modality=path" flags, preserving order."""
-    out: list[tuple[str, str]] = []
-    seen = set()
-    for spec in specs:
-        name, sep, path = spec.partition("=")
-        if not sep or not name or not path:
-            raise InvalidParameter(f"expected modality=PATH, got '{spec}'")
-        if name in seen:
-            raise InvalidParameter(f"modality '{name}' given twice")
-        seen.add(name)
-        out.append((name, path))
-    return out
+    return _split_named(specs, "modality=PATH")
 
 
 def parse_dims(spec: str) -> list[tuple[str, int]]:
     """Parse "text=384,visual=512" into ordered (name, dim) pairs."""
     out: list[tuple[str, int]] = []
-    seen = set()
-    for part in spec.split(","):
-        name, sep, dim = part.partition("=")
-        if not sep or not name:
-            raise InvalidParameter(f"expected name=DIM, got '{part}'")
+    for name, dim in _split_named(spec.split(","), "name=DIM"):
         try:
-            value = int(dim)
+            out.append((name, int(dim)))
         except ValueError:
             raise InvalidParameter(f"bad dimension '{dim}' for modality '{name}'") from None
-        if name in seen:
-            raise InvalidParameter(f"modality '{name}' given twice")
-        seen.add(name)
-        out.append((name, value))
     return out
 
 
 def parse_grid(spec: str) -> list[int]:
-    """Expand "start:stop:step" inclusively; a bare integer is a singleton."""
+    """Expand "start:stop:step" inclusively; a bare integer N is "N:N:1"."""
+    parts = spec.split(":") if ":" in spec else [spec, spec, "1"]
     try:
-        if ":" not in spec:
-            return [int(spec)]
-        parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError
         start, stop, step = (int(p) for p in parts)
@@ -86,8 +79,7 @@ def parse_methods(spec: str) -> list[str]:
     if not methods:
         raise InvalidParameter("no methods given")
     for m in methods:
-        if m not in METHODS:
-            raise InvalidParameter(f"unknown method '{m}'; expected one of {', '.join(METHODS)}")
+        ImputeConfig(method=m)  # rejects an unknown method
     return methods
 
 
@@ -254,25 +246,30 @@ def _add_dataset_flags(parser, mask_required=False):
     )
 
 
+def _add_config_flags(parser):
+    parser.add_argument("--alpha", type=float, default=ImputeConfig.alpha,
+                        help="teleport probability")
+    parser.add_argument("--seed", type=int, default=ImputeConfig.seed)
+    parser.add_argument("--fallback", choices=FALLBACKS, default=ImputeConfig.cold_fallback,
+                        help="filling for items with no graph neighbors")
+    parser.add_argument("--iter-tolerance", type=float, default=ImputeConfig.iter_tolerance,
+                        help="fixed-point stopping residual, relative to the largest |input|")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="mmimpute", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("impute", parents=[], help="fill missing feature rows")
+    p = sub.add_parser("impute", help="fill missing feature rows")
     _add_dataset_flags(p)
     p.add_argument("--method", required=True, choices=METHODS)
-    p.add_argument("--top-k", type=int, default=20, help="sparsification strength")
-    p.add_argument("--hops", type=int, default=10, help="propagation depth T")
-    p.add_argument("--alpha", type=float, default=0.85, help="teleport probability")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--top-k", type=int, default=ImputeConfig.top_k, help="sparsification strength")
+    p.add_argument("--hops", type=int, default=ImputeConfig.hops, help="propagation depth T")
+    _add_config_flags(p)
     p.add_argument("--ppr-mode", choices=("iterative",), default="iterative",
                    help="accepted for existing scripts; the fixed point is the only solver")
-    p.add_argument("--fallback", choices=FALLBACKS, default="global-mean",
-                   help="filling for items with no graph neighbors")
     p.add_argument("--no-clamp", action="store_true",
                    help="do not re-pin observed rows between hops (study toggle)")
-    p.add_argument("--iter-tolerance", type=float, default=1e-8,
-                   help="fixed-point stopping residual, relative to the largest |input|")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_impute)
 
@@ -304,11 +301,7 @@ def build_parser() -> _Parser:
     p.add_argument("--methods", required=True, help="comma-separated method list")
     p.add_argument("--top-k-grid", default="10:100:10", metavar="START:STOP:STEP")
     p.add_argument("--hops-grid", default="1:20:1", metavar="START:STOP:STEP")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.85)
-    p.add_argument("--fallback", choices=FALLBACKS, default="global-mean")
-    p.add_argument("--iter-tolerance", type=float, default=1e-8,
-                   help="fixed-point stopping residual, relative to the largest |input|")
+    _add_config_flags(p)
     p.add_argument("--out", required=True, help="report file (JSON)")
     p.set_defaults(func=_cmd_evaluate)
 

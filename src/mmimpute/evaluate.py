@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDataset, InvalidParameter, MmImputeError
-from .features import FeatureSet, GRAPH_METHODS, ImputeConfig, METHODS, check_row_count, check_seed
+from .features import FeatureSet, GRAPH_METHODS, ImputeConfig, check_row_count, check_seed
 from .graph import InteractionMatrix, ItemGraph, cooccurrence
 from .imputers import impute
 
@@ -264,9 +264,9 @@ def run_sweep(
     hops_grid: Sequence[int],
     hide_fraction: float,
     seed: int,
-    alpha: float = 0.85,
-    cold_fallback: str = "global-mean",
-    iter_tolerance: float = 1e-8,
+    alpha: float = ImputeConfig.alpha,
+    cold_fallback: str = ImputeConfig.cold_fallback,
+    iter_tolerance: float = ImputeConfig.iter_tolerance,
 ) -> list[dict]:
     """Mask-and-recover comparison over a (method x hyper-parameter) grid.
 
@@ -277,8 +277,7 @@ def run_sweep(
     propagation per top-k that scores every hop count.
     """
     for method in methods:
-        if method not in METHODS:
-            raise InvalidParameter(f"unknown method '{method}'")
+        ImputeConfig(method=method)  # rejects an unknown method before any work
     masked, hidden = mask_features(f, hide_fraction, seed)
     counts = cooccurrence(r) if any(m in GRAPH_METHODS for m in methods) else None
     rows: list[dict] = []
@@ -293,8 +292,8 @@ def run_sweep(
 
             def config(j: int, hops: int | None) -> ImputeConfig:
                 return ImputeConfig(
-                    method=method, top_k=20 if top_k is None else top_k,
-                    hops=10 if hops is None else hops, alpha=alpha,
+                    method=method, top_k=ImputeConfig.top_k if top_k is None else top_k,
+                    hops=ImputeConfig.hops if hops is None else hops, alpha=alpha,
                     seed=_grid_seed(seed, len(rows) + j),
                     cold_fallback=cold_fallback, iter_tolerance=iter_tolerance,
                 )

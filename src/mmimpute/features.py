@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InconsistentData, InvalidParameter
-from .graph import InteractionMatrix
+from .graph import InteractionMatrix, check_alpha
 
 METHODS = ("zeros", "random", "global-mean", "neigh-mean", "multihop", "pers-pagerank")
 GRAPH_METHODS = ("neigh-mean", "multihop", "pers-pagerank")
@@ -115,7 +115,8 @@ class ImputeConfig:
     `alpha` the teleport probability, `cold_fallback` how degree-0 masked
     items are filled, `iter_tolerance` when a personalized-PageRank fixed
     point has converged, and `clamp` whether observed rows are re-pinned
-    after every hop.
+    after every hop. The field defaults are the package's defaults: the
+    command line, `run_sweep` and the imputers read them from here.
     """
 
     method: str
@@ -136,8 +137,7 @@ class ImputeConfig:
             raise InvalidParameter(f"top_k must be at least 1, got {self.top_k}")
         if self.hops < 1:
             raise InvalidParameter(f"hops must be at least 1, got {self.hops}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise InvalidParameter(f"alpha must be in (0, 1], got {self.alpha}")
+        check_alpha(self.alpha)
         check_seed(self.seed)
         if self.cold_fallback not in FALLBACKS:
             raise InvalidParameter(f"unknown cold_fallback '{self.cold_fallback}'")

@@ -223,7 +223,7 @@ def topk_sparsify(g: ItemGraph, k: int) -> ItemGraph:
     if g.kind != KIND_COUNTS:
         raise InvalidParameter("top-k sparsification expects a counts graph")
     if k < 1:
-        raise InvalidParameter(f"top-k must be at least 1, got {k}")
+        raise InvalidParameter(f"top_k must be at least 1, got {k}")
     adj = g.adjacency
     indptr, indices, data = adj.indptr, adj.indices, adj.data
     keep = np.ones(indices.size, dtype=np.int64)
@@ -269,7 +269,8 @@ def _require_binary(g: ItemGraph):
         raise InvalidParameter("a binary (sparsified) item graph is required")
 
 
-def _check_alpha(alpha: float):
+def check_alpha(alpha: float):
+    """Raise InvalidParameter unless `alpha` is a teleport probability in (0, 1]."""
     if not (0.0 < alpha <= 1.0):
         raise InvalidParameter(f"alpha must be in (0, 1], got {alpha}")
 
@@ -302,7 +303,7 @@ def ppr_iterative(g: ItemGraph, alpha: float) -> NormalizedOperator:
     diffusion is later realized as the fixed point of
     x = alpha * x0 + (1 - alpha) * A_sl @ x.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _require_binary(g)
     return NormalizedOperator(g, MODE_PPR_ITERATIVE, alpha, _degree_scaled(g, with_self_loops=True))
 
@@ -315,7 +316,7 @@ def ppr_exact(g: ItemGraph, alpha: float, cap: int = PPR_EXACT_CAP) -> Normalize
     items; imputation realizes the same operator as a fixed point over
     `ppr_iterative`.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     _require_binary(g)
     n = g.n_items
     if n > cap:

@@ -64,8 +64,6 @@ def _observed_mean(f: FeatureSet, modality: str) -> np.ndarray:
 
 
 def _fallback_row(f: FeatureSet, modality: str, fallback: str) -> np.ndarray:
-    if fallback not in FALLBACKS:
-        raise InvalidParameter(f"unknown cold_fallback '{fallback}'")
     if fallback == "zeros":
         return np.zeros(f.dim(modality))
     return _observed_mean(f, modality)
@@ -112,13 +110,17 @@ def impute_global_mean(f: FeatureSet) -> FeatureSet:
     return _cleared(f, out)
 
 
-def impute_neigh_mean(f: FeatureSet, g: ItemGraph, fallback: str = "global-mean") -> FeatureSet:
+def impute_neigh_mean(
+    f: FeatureSet, g: ItemGraph, fallback: str = ImputeConfig.cold_fallback
+) -> FeatureSet:
     """Replace each missing row with the mean of its one-hop neighbor rows.
 
     Neighbors that are themselves missing contribute their zero
     placeholder and still count toward the divisor. Items with no
     neighbors use the configured fallback.
     """
+    if fallback not in FALLBACKS:
+        raise InvalidParameter(f"unknown cold_fallback '{fallback}'")
     _check_graph(f, g)
 
     def row_step(m, rows):
@@ -160,6 +162,8 @@ def _propagate(
     and no `on_iteration` calls. The hook sees the whole matrix, which
     later hops update in place.
     """
+    if hops < 1:
+        raise InvalidParameter(f"hops must be at least 1, got {hops}")
     out = {}
     for m in f.modalities:
         mask = f.masks[m]
@@ -193,8 +197,6 @@ def impute_multihop(
     """
     if op.mode != MODE_SYM:
         raise InvalidParameter("multihop requires a sym-laplacian operator")
-    if hops < 1:
-        raise InvalidParameter(f"hops must be at least 1, got {hops}")
     _check_graph(f, op.base)
     s = op.matrix
 
@@ -245,12 +247,10 @@ def _pers_pagerank(
     g: ItemGraph,
     alpha: float,
     hops: int,
-    iter_tolerance: float = 1e-8,
+    iter_tolerance: float,
     clamp: bool = True,
     on_iteration: IterationHook | None = None,
 ) -> tuple[FeatureSet, dict[str, dict]]:
-    if hops < 1:
-        raise InvalidParameter(f"hops must be at least 1, got {hops}")
     if not (0.0 < iter_tolerance < np.inf):
         raise InvalidParameter("iter_tolerance must be positive and finite")
     _check_graph(f, g)
@@ -281,7 +281,7 @@ def impute_pers_pagerank(
     g: ItemGraph,
     alpha: float,
     hops: int,
-    iter_tolerance: float = 1e-8,
+    iter_tolerance: float = ImputeConfig.iter_tolerance,
     clamp: bool = True,
     on_iteration: IterationHook | None = None,
 ) -> FeatureSet:
@@ -332,6 +332,7 @@ def impute(
         out = impute_global_mean(f)
     else:
         counts = counts_graph if counts_graph is not None else cooccurrence(r)
+        _check_graph(f, counts)
         g = topk_sparsify(counts, cfg.top_k)
         for m in f.modalities:
             details[m]["cold_items"] = int(((g.degrees == 0) & f.masks[m]).sum())

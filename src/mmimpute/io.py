@@ -144,17 +144,20 @@ def read_feature_matrix(path) -> np.ndarray:
 
 
 def write_feature_matrix(path, matrix: np.ndarray):
-    """Store a matrix at single precision. Values must be finite.
+    """Store a matrix at single precision. Values must be finite at float32.
 
     Single-precision inputs are written as they are, bit-exactly; higher
-    precision is rounded to float32 on write.
+    precision is rounded to float32 on write. A value that is not finite,
+    or that is finite but beyond the float32 range, raises FormatError
+    before the file is opened, so nothing is written.
     """
     arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise FormatError("feature matrix must be 2-d")
-    if arr.size and not np.isfinite(arr).all():
-        raise FormatError(f"{path}: refusing to write non-finite values")
-    payload = np.ascontiguousarray(arr, dtype="<f4")
+    with np.errstate(over="ignore"):  # an overflow becomes inf, rejected below
+        payload = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise FormatError(f"{path}: refusing to write values that are not finite at float32")
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(FEATURE_MAGIC, arr.shape[0], arr.shape[1]))
         handle.write(payload)

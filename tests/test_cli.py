@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmimpute import DivergentDiffusion, InvalidParameter
-from mmimpute.cli import main, parse_dims, parse_features, parse_grid, parse_methods
+from mmimpute import DivergentDiffusion, ImputeConfig, InvalidParameter, run_sweep, synth_generate
+from mmimpute.cli import build_parser, main, parse_dims, parse_features, parse_grid, parse_methods
+from mmimpute.graph import cooccurrence, topk_sparsify
 from mmimpute.io import read_feature_matrix, write_feature_matrix
 
 
@@ -19,7 +22,7 @@ def test_parse_grid_matches_sweep_ranges():
 
 
 def test_parse_grid_rejects_junk():
-    for bad in ("10:5:1", "0:10:2", "1:10:0", "a:b:c", "1:2:3:4"):
+    for bad in ("10:5:1", "0:10:2", "1:10:0", "a:b:c", "1:2:3:4", "0", "-3"):
         with pytest.raises(InvalidParameter):
             parse_grid(bad)
 
@@ -359,10 +362,15 @@ def test_unwritable_output_is_data_error(tmp_path, capsys, command, where):
         (["--hide-fraction", "1.5"], "hide fraction must be in (0, 1), got 1.5"),
         (["--top-k-grid", "5:1:1"], "bad grid '5:1:1'"),
         (["--hops-grid", "0:3:1"], "bad grid '0:3:1'"),
+        (["--top-k-grid", "0"], "bad grid '0'"),
+        (["--hops-grid", "-3"], "bad grid '-3'"),
         (["--alpha", "0"], "alpha must be in (0, 1]"),
         (["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
     ],
-    ids=["iter-tolerance", "methods", "hide-fraction", "top-k-grid", "hops-grid", "alpha", "seed"],
+    ids=[
+        "iter-tolerance", "methods", "hide-fraction", "top-k-grid", "hops-grid",
+        "top-k-grid-integer", "hops-grid-integer", "alpha", "seed",
+    ],
 )
 def test_evaluate_checks_flags_before_reading(tmp_path, capsys, flags, message):
     # the input does not exist, so any read would exit 2 with "cannot read"
@@ -402,6 +410,78 @@ def test_evaluate_out_check_leaves_an_existing_report(tmp_path, monkeypatch):
     argv = ["evaluate", *tiny_dataset(tmp_path), "--hide-fraction", "0.5", "--methods", "zeros"]
     assert main([*argv, "--out", str(out)]) == 3
     assert out.read_text() == "previous report\n"
+
+
+def test_impute_beyond_float32_range_is_data_error(tmp_path, capsys):
+    # a masked hub with 100 leaves observed at 1e38: one symmetric-normalized
+    # hop gives it 100 * 1e38 / sqrt(100) = 1e39, which float32 cannot hold
+    n = 100
+    (tmp_path / "r.tsv").write_text("".join(f"u{i}\thub\nu{i}\tleaf{i}\n" for i in range(n)))
+    feats = np.full((n + 1, 2), 1e38, dtype=np.float32)
+    feats[0] = 0.0  # the hub is the first item
+    write_feature_matrix(tmp_path / "text.fmat", feats)
+    (tmp_path / "mask.tsv").write_text("hub\ttext\n")
+    out = tmp_path / "out"
+    assert main([
+        "impute", "--interactions", str(tmp_path / "r.tsv"),
+        "--features", f"text={tmp_path / 'text.fmat'}", "--mask", str(tmp_path / "mask.tsv"),
+        "--method", "multihop", "--hops", "1", "--out", str(out),
+    ]) == 2
+    assert "refusing to write values that are not finite at float32" in capsys.readouterr().err
+    assert not (out / "text.fmat").exists()
+
+
+def subcommand_actions(command):
+    """The argparse actions of one subcommand, by destination."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action for action in sub.choices[command]._actions}
+
+
+def test_impute_and_evaluate_declare_config_flags_alike():
+    defaults = {field.name: field.default for field in dataclasses.fields(ImputeConfig)}
+    impute_flags, evaluate_flags = subcommand_actions("impute"), subcommand_actions("evaluate")
+    for dest, field in [("alpha", "alpha"), ("seed", "seed"), ("fallback", "cold_fallback"),
+                        ("iter_tolerance", "iter_tolerance")]:
+        a, b = impute_flags[dest], evaluate_flags[dest]
+        shape = ("option_strings", "type", "default", "choices", "help")
+        assert [getattr(a, k) for k in shape] == [getattr(b, k) for k in shape], dest
+        assert a.default == defaults[field], dest
+    assert impute_flags["top_k"].default == defaults["top_k"]
+    assert impute_flags["hops"].default == defaults["hops"]
+
+
+def raised_message(call):
+    with pytest.raises(InvalidParameter) as excinfo:
+        call()
+    return str(excinfo.value)
+
+
+def test_each_rule_has_one_message():
+    r, f = synth_generate(20, 10, 2, 0.5, 0.1, [("m", 4)], 0.1, seed=4)
+    top_k = {
+        raised_message(lambda: ImputeConfig(method="multihop", top_k=0)),
+        raised_message(lambda: topk_sparsify(cooccurrence(r), 0)),
+        raised_message(lambda: run_sweep(r, f, ["multihop"], [0], [1], 0.2, 0)),
+    }
+    assert top_k == {"top_k must be at least 1, got 0"}
+    method = {
+        raised_message(lambda: ImputeConfig(method="bogus")),
+        raised_message(lambda: parse_methods("zeros,bogus")),
+        raised_message(lambda: run_sweep(r, f, ["zeros", "bogus"], [5], [1], 0.2, 0)),
+    }
+    assert len(method) == 1
+    assert method.pop().startswith("unknown method 'bogus'; expected one of zeros, random")
+
+
+@pytest.mark.parametrize("command", ["impute", "drop", "stats", "synth", "evaluate"])
+def test_help_exits_zero(capsys, command):
+    # argparse formats help text only when it is asked for: a stray '%' in
+    # a help string would fail here and nowhere else
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: mmimpute {command}")
 
 
 def test_cli_import_stays_light():

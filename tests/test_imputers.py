@@ -8,6 +8,7 @@ from mmimpute import (
     DivergentDiffusion,
     FeatureSet,
     ImputeConfig,
+    InconsistentData,
     InteractionMatrix,
     InvalidParameter,
     NoObservedFeatures,
@@ -123,6 +124,13 @@ def test_neigh_mean_fallbacks():
     assert np.array_equal(gm.matrices["m"][2], [3, 4])
     zz = impute_neigh_mean(f, g, fallback="zeros")
     assert np.array_equal(zz.matrices["m"][2], [0, 0])
+
+
+def test_neigh_mean_checks_fallback_without_cold_items():
+    g = binary_graph(2, [(0, 1)])  # no isolated item: the fallback is never used
+    f = feature_set([[1.0], [0.0]], [False, True])
+    with pytest.raises(InvalidParameter, match="unknown cold_fallback 'bogus'"):
+        impute_neigh_mean(f, g, fallback="bogus")
 
 
 def test_neigh_mean_matches_naive_loop():
@@ -614,6 +622,15 @@ def test_graph_stage_corner_cases(name, r, top_k, method, fallback):
         top = int(cooccurrence(r).degrees.max())
         same, _ = impute(f, r, dataclasses.replace(cfg, top_k=top))
         assert same.matrices["m"].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("method", ["neigh-mean", "multihop", "pers-pagerank"])
+def test_impute_rejects_counts_graph_of_another_size(method):
+    r = build_interaction_matrix([("u1", "a"), ("u1", "b"), ("u2", "b"), ("u2", "c")])
+    r4 = build_interaction_matrix([("u1", "a"), ("u1", "b"), ("u2", "c"), ("u2", "d")])
+    f = feature_set([[1.0], [0.0], [2.0]], [False, True, False])
+    with pytest.raises(InconsistentData, match="item graph has 4 items but features have 3 rows"):
+        impute(f, r, ImputeConfig(method=method), counts_graph=cooccurrence(r4))
 
 
 @pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])

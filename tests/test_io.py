@@ -110,6 +110,14 @@ def test_feature_matrix_rejects_nonfinite(tmp_path):
         write_feature_matrix(tmp_path / "m.fmat", np.array([[np.inf]]))
 
 
+def test_feature_matrix_rejects_float32_overflow(tmp_path):
+    # 1e39 is finite in float64 but rounds to inf in float32
+    path = tmp_path / "m.fmat"
+    with pytest.raises(FormatError, match="not finite at float32"):
+        write_feature_matrix(path, np.array([[1e39]]))
+    assert not path.exists()
+
+
 def read_interactions_text(tmp_path, text):
     path = tmp_path / "r.tsv"
     path.write_text(text, encoding="utf-8")
