@@ -131,10 +131,10 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_drop(args) -> int:
-    r, f = _load_dataset(args)
-    r2, f2, before, after = drop_missing(r, f)
+    # the loaded dataset is never named here, so it is freed before the write
+    r, f, before, after = drop_missing(*_load_dataset(args))
     out = Path(args.out)
-    files = write_dataset(out, r2, f2)
+    files = write_dataset(out, r, f)
     _dump_json(out / "stats.json", {"before": before.as_dict(), "after": after.as_dict(), "files": files})
     print(
         f"dropped {before.n_items - after.n_items} items, "

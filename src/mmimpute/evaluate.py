@@ -2,9 +2,10 @@
 
 The "drop" pipeline removes items with any missing modality (then
 dangling interactions and orphaned users), which is the baseline the
-imputers are an alternative to. The mask-and-recover harness hides a
-fraction of observed rows, imputes them, and scores reconstruction
-fidelity per modality.
+imputers are an alternative to; the survivors come out in the canonical
+item order of `graph.first_appearance_order`. The mask-and-recover
+harness hides a fraction of observed rows, imputes them, and scores
+reconstruction fidelity per modality.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDataset, InvalidParameter, MmImputeError
-from .features import FeatureSet, GRAPH_METHODS, ImputeConfig, check_row_count, check_seed
-from .graph import InteractionMatrix, ItemGraph, cooccurrence
+from .features import ALPHA_METHODS, FeatureSet, GRAPH_METHODS, ImputeConfig, check_row_count, check_seed
+from .graph import InteractionMatrix, ItemGraph, cooccurrence, first_appearance_order
 from .imputers import impute
 
 
@@ -75,7 +76,7 @@ def drop_missing(
 
     Interactions touching removed items are dropped, then users left with
     zero interactions. Surviving items are put in canonical order
-    (`InteractionMatrix.first_appearance_order`), so a pruned dataset
+    (`graph.first_appearance_order`), so a pruned dataset
     written to disk re-reads with identical indexing; items that had no
     interactions to begin with keep their relative order at the end.
     Returns the pruned dataset plus before/after stats.
@@ -90,13 +91,12 @@ def drop_missing(
         return r, f, before, before
 
     kept_items = np.flatnonzero(~dropped)
-    kept_users = np.flatnonzero(np.diff(r.matrix[:, kept_items].indptr))
+    columns = r.matrix[:, kept_items]  # users left without entries add nothing to the stream
+    kept_users = np.flatnonzero(np.diff(columns.indptr))
     if kept_users.size == 0:
         raise EmptyDataset("no interactions survive the drop")
-    kept = r.select(kept_users, kept_items)
-    order = kept.first_appearance_order()
-    matrix = kept.select(np.arange(kept.n_users), order)
-    old_of_new = kept_items[order]
+    old_of_new = kept_items[first_appearance_order(columns)]
+    matrix = r.select(kept_users, old_of_new)
     pruned = FeatureSet.create([(m, f.matrices[m][old_of_new]) for m in f.modalities])
     after = dataset_stats(matrix, pruned)
     return matrix, pruned, before, after
@@ -233,21 +233,19 @@ def _score_configs(
 ) -> list[tuple[dict, dict]]:
     """(metrics, run details) of configurations that differ only in `hops`.
 
-    Multihop and personalized PageRank run once, at the deepest hop count:
-    a clamped hop does not depend on how many hops follow it, so each
-    shallower configuration is scored as the propagation passes it.
+    One run at the deepest hop count serves all: `on_iteration` scores the
+    shallower ones as it passes them (a clamped hop ignores the hops after
+    it), and the output, equal to the hook's last view, scores the deepest.
     """
-    if cfgs[0].method not in ("multihop", "pers-pagerank"):
-        out, report = impute(masked, r, cfgs[0], counts_graph=counts)
-        return [(reconstruction_metrics(out, hidden).as_dict(), report["modalities"])]
-    scores: dict[int, dict[str, dict]] = {cfg.hops: {} for cfg in cfgs}
+    deepest = max(cfgs, key=lambda cfg: cfg.hops)
+    scores: dict[int, dict] = {cfg.hops: {} for cfg in cfgs if cfg.hops < deepest.hops}
 
     def score(m, t, x):
         if t in scores:
             scores[t][m] = _modality_metrics(m, x[hidden.indices[m]], hidden.values[m]).as_dict()
 
-    deepest = max(cfgs, key=lambda cfg: cfg.hops)
-    _, report = impute(masked, r, deepest, counts_graph=counts, on_iteration=score)
+    out, report = impute(masked, r, deepest, counts_graph=counts, on_iteration=score)
+    scores[deepest.hops] = reconstruction_metrics(out, hidden).as_dict()
     return [  # the per-hop lists of the deep run, cut to each configuration's hops
         ({m: scores[cfg.hops][m] for m in hidden.indices},
          {m: {key: v[:cfg.hops] if isinstance(v, list) else v for key, v in d.items()}
@@ -273,7 +271,7 @@ def run_sweep(
     One hidden set (derived from `seed`) is shared by every configuration;
     each run gets its own seed derived from (base seed, grid index).
     Traditional methods ignore the grids and run once; neigh-mean sweeps
-    top-k only; multihop and pers-pagerank sweep top-k x hops, with one
+    top-k only; the propagating methods sweep top-k x hops, with one
     propagation per top-k that scores every hop count.
     """
     for method in methods:
@@ -308,7 +306,7 @@ def run_sweep(
             for hops, cfg, (metrics, details) in zip(hop_values, cfgs, scored):
                 rows.append({
                     "grid_index": len(rows), "method": method, "top_k": top_k, "hops": hops,
-                    "alpha": alpha if method == "pers-pagerank" else None, "run_seed": cfg.seed,
+                    "alpha": alpha if method in ALPHA_METHODS else None, "run_seed": cfg.seed,
                     "metrics": metrics, "modalities": details,
                 })
     return rows

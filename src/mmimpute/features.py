@@ -13,10 +13,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InconsistentData, InvalidParameter
-from .graph import InteractionMatrix, check_alpha
+from .graph import InteractionMatrix, check_alpha, check_top_k
 
 METHODS = ("zeros", "random", "global-mean", "neigh-mean", "multihop", "pers-pagerank")
 GRAPH_METHODS = ("neigh-mean", "multihop", "pers-pagerank")
+ALPHA_METHODS = ("pers-pagerank",)  # the methods that read `alpha`
 FALLBACKS = ("zeros", "global-mean")
 
 
@@ -107,6 +108,24 @@ def check_seed(seed: int):
         raise InvalidParameter("seed must be an unsigned 64-bit integer")
 
 
+def check_hops(hops: int):
+    """Raise InvalidParameter unless `hops` asks for at least one propagation step."""
+    if hops < 1:
+        raise InvalidParameter(f"hops must be at least 1, got {hops}")
+
+
+def check_cold_fallback(fallback: str):
+    """Raise InvalidParameter unless `fallback` is one of FALLBACKS."""
+    if fallback not in FALLBACKS:
+        raise InvalidParameter(f"unknown cold_fallback '{fallback}'")
+
+
+def check_iter_tolerance(tolerance: float):
+    """Raise InvalidParameter unless the fixed-point tolerance is positive and finite."""
+    if not (0.0 < tolerance < np.inf):
+        raise InvalidParameter("iter_tolerance must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ImputeConfig:
     """Method selector plus hyper-parameters for the dispatcher.
@@ -133,16 +152,12 @@ class ImputeConfig:
             raise InvalidParameter(
                 f"unknown method '{self.method}'; expected one of {', '.join(METHODS)}"
             )
-        if self.top_k < 1:
-            raise InvalidParameter(f"top_k must be at least 1, got {self.top_k}")
-        if self.hops < 1:
-            raise InvalidParameter(f"hops must be at least 1, got {self.hops}")
+        check_top_k(self.top_k)
+        check_hops(self.hops)
         check_alpha(self.alpha)
         check_seed(self.seed)
-        if self.cold_fallback not in FALLBACKS:
-            raise InvalidParameter(f"unknown cold_fallback '{self.cold_fallback}'")
-        if not (0.0 < self.iter_tolerance < np.inf):
-            raise InvalidParameter("iter_tolerance must be positive and finite")
+        check_cold_fallback(self.cold_fallback)
+        check_iter_tolerance(self.iter_tolerance)
 
     def as_dict(self) -> dict:
         return asdict(self)

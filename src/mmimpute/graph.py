@@ -84,20 +84,6 @@ class InteractionMatrix:
             for i in indices[indptr[u]:indptr[u + 1]]:
                 yield u, int(i)
 
-    def first_appearance_order(self) -> np.ndarray:
-        """Old index of each item in canonical order.
-
-        Items come in order of first appearance in the row-major entry
-        stream (`matrix.indices`), then items with no entry, in index
-        order. Writing a dataset reindexed this way and reading it back
-        reproduces the same indexing.
-        """
-        stream = self.matrix.indices
-        _, first_pos = np.unique(stream, return_index=True)
-        seen = np.zeros(self.n_items, dtype=bool)
-        seen[stream] = True
-        return np.concatenate([stream[np.sort(first_pos)], np.flatnonzero(~seen)])
-
     def select(self, users: np.ndarray, items: np.ndarray) -> "InteractionMatrix":
         """Rows `users` and columns `items` of the matrix, in that order, with their ids."""
         matrix = self.matrix[users][:, items]
@@ -145,10 +131,7 @@ def build_interaction_matrix(pairs: Iterable[tuple[str, str]]) -> InteractionMat
 
     Duplicate (user, item) pairs collapse to a single entry.
     """
-    columns = tuple(zip(*pairs))
-    if not columns:
-        raise EmptyDataset("no interactions")
-    users, items = columns
+    users, items = tuple(zip(*pairs)) or ((), ())
     return interactions_from_ids(users, items)
 
 
@@ -160,6 +143,20 @@ def interactions_from_ids(users: Sequence[str], items: Sequence[str]) -> Interac
     item_ids, cols = _index_by_first_appearance(items)
     matrix = _binary_csr(rows, cols, (len(user_ids), len(item_ids)))
     return InteractionMatrix(matrix, user_ids, item_ids)
+
+
+def first_appearance_order(matrix: sp.csr_matrix) -> np.ndarray:
+    """Old column index of each item in canonical order.
+
+    Items come in order of first appearance in the row-major entry stream
+    (`matrix.indices`, sorted in each row), then items with no entry, in
+    index order. A dataset reindexed this way re-reads with the same indexing.
+    """
+    stream = matrix.indices
+    _, first_pos = np.unique(stream, return_index=True)
+    seen = np.zeros(matrix.shape[1], dtype=bool)
+    seen[stream] = True
+    return np.concatenate([stream[np.sort(first_pos)], np.flatnonzero(~seen)])
 
 
 def _index_by_first_appearance(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -222,8 +219,7 @@ def topk_sparsify(g: ItemGraph, k: int) -> ItemGraph:
     """
     if g.kind != KIND_COUNTS:
         raise InvalidParameter("top-k sparsification expects a counts graph")
-    if k < 1:
-        raise InvalidParameter(f"top_k must be at least 1, got {k}")
+    check_top_k(k)
     adj = g.adjacency
     indptr, indices, data = adj.indptr, adj.indices, adj.data
     keep = np.ones(indices.size, dtype=np.int64)
@@ -267,6 +263,12 @@ class NormalizedOperator:
 def _require_binary(g: ItemGraph):
     if g.kind != KIND_BINARY:
         raise InvalidParameter("a binary (sparsified) item graph is required")
+
+
+def check_top_k(top_k: int):
+    """Raise InvalidParameter unless `top_k` keeps at least one edge per row."""
+    if top_k < 1:
+        raise InvalidParameter(f"top_k must be at least 1, got {top_k}")
 
 
 def check_alpha(alpha: float):

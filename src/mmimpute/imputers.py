@@ -21,7 +21,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergentDiffusion, InconsistentData, InvalidParameter, NoObservedFeatures
-from .features import FALLBACKS, FeatureSet, ImputeConfig, check_row_count
+from .features import (
+    FeatureSet,
+    ImputeConfig,
+    check_cold_fallback,
+    check_hops,
+    check_iter_tolerance,
+    check_row_count,
+)
 from .graph import (
     MODE_SYM,
     InteractionMatrix,
@@ -119,8 +126,7 @@ def impute_neigh_mean(
     placeholder and still count toward the divisor. Items with no
     neighbors use the configured fallback.
     """
-    if fallback not in FALLBACKS:
-        raise InvalidParameter(f"unknown cold_fallback '{fallback}'")
+    check_cold_fallback(fallback)
     _check_graph(f, g)
 
     def row_step(m, rows):
@@ -162,8 +168,7 @@ def _propagate(
     and no `on_iteration` calls. The hook sees the whole matrix, which
     later hops update in place.
     """
-    if hops < 1:
-        raise InvalidParameter(f"hops must be at least 1, got {hops}")
+    check_hops(hops)
     out = {}
     for m in f.modalities:
         mask = f.masks[m]
@@ -251,8 +256,7 @@ def _pers_pagerank(
     clamp: bool = True,
     on_iteration: IterationHook | None = None,
 ) -> tuple[FeatureSet, dict[str, dict]]:
-    if not (0.0 < iter_tolerance < np.inf):
-        raise InvalidParameter("iter_tolerance must be positive and finite")
+    check_iter_tolerance(iter_tolerance)
     _check_graph(f, g)
     a_sl = ppr_iterative(g, alpha).matrix
     steps: dict[str, list[int]] = {m: [] for m in f.modalities}

@@ -11,9 +11,11 @@ vocabulary.
 
 Feature rows are keyed by item index, i.e. by first appearance of the
 item id in the interactions file. `write_dataset` writes in the
-canonical order owned by `InteractionMatrix.first_appearance_order`, so
+canonical order owned by `graph.first_appearance_order`, so
 a written dataset re-reads with identical indexing. An input that cannot
 be read or is not UTF-8 raises ParseError (text) or FormatError (.fmat).
+A feature set with a value that does not fit float32 is refused before
+any of its files, or the interactions written with it, is created.
 """
 
 from __future__ import annotations
@@ -36,10 +38,13 @@ from .errors import (
     UnknownModality,
 )
 from .features import FeatureSet, check_row_count
-from .graph import InteractionMatrix, interactions_from_ids
+from .graph import InteractionMatrix, first_appearance_order, interactions_from_ids
 
 FEATURE_MAGIC = b"FMATv1\x00\x00"
 _HEADER = struct.Struct("<8sQQ")
+# The least magnitude that rounds to float32 infinity: halfway between the
+# float32 maximum (2^128 - 2^104) and 2^128, where round-to-even goes up.
+_FLOAT32_LIMIT = 2.0**128 - 2.0**103
 
 
 def _read_records(path, what: str, known: dict[str, int] | None = None):
@@ -154,13 +159,27 @@ def write_feature_matrix(path, matrix: np.ndarray):
     arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise FormatError("feature matrix must be 2-d")
-    with np.errstate(over="ignore"):  # an overflow becomes inf, rejected below
-        payload = np.ascontiguousarray(arr, dtype="<f4")
-    if not np.isfinite(payload).all():
+    _check_float32(path, arr)
+    _write_payload(path, arr)
+
+
+def _check_float32(path, matrix: np.ndarray):
+    """Raise FormatError unless every value rounds to a finite float32.
+
+    Only the extremes are compared, so no converted copy is made; a NaN
+    makes an extreme NaN, which fails both comparisons.
+    """
+    if matrix.size and not (
+        -_FLOAT32_LIMIT < float(matrix.min()) and float(matrix.max()) < _FLOAT32_LIMIT
+    ):
         raise FormatError(f"{path}: refusing to write values that are not finite at float32")
+
+
+def _write_payload(path, matrix: np.ndarray):
+    """The header and the float32 payload of a checked 2-d matrix."""
     with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(FEATURE_MAGIC, arr.shape[0], arr.shape[1]))
-        handle.write(payload)
+        handle.write(_HEADER.pack(FEATURE_MAGIC, *matrix.shape))
+        handle.write(np.ascontiguousarray(matrix, dtype="<f4"))
 
 
 def read_mask(path, r: InteractionMatrix) -> dict[str, set[int]]:
@@ -206,14 +225,19 @@ def load_feature_set(
 
 
 def write_feature_set(directory, f: FeatureSet) -> dict[str, str]:
-    """Write one .fmat file per modality; returns the file names used."""
+    """Write one .fmat file per modality; returns the file names used.
+
+    Every matrix is checked before the directory or any file is created,
+    so a refused matrix leaves nothing written. Payloads are converted
+    one modality at a time.
+    """
     directory = Path(directory)
+    names = {m: f"{m}.fmat" for m in f.modalities}
+    for m, name in names.items():
+        _check_float32(directory / name, f.matrices[m])
     directory.mkdir(parents=True, exist_ok=True)
-    names = {}
-    for m in f.modalities:
-        name = f"{m}.fmat"
-        write_feature_matrix(directory / name, f.matrices[m])
-        names[m] = name
+    for m, name in names.items():
+        _write_payload(directory / name, f.matrices[m])
     return names
 
 
@@ -240,7 +264,7 @@ def canonicalize_dataset(
         raise InconsistentData(
             f"items without interactions cannot be serialized: {', '.join(bad)}"
         )
-    order = r.first_appearance_order()
+    order = first_appearance_order(r.matrix)
     if (order == np.arange(r.n_items)).all():
         return r, f
     matrix = r.select(np.arange(r.n_users), order)
@@ -255,11 +279,13 @@ def canonicalize_dataset(
 
 
 def write_dataset(directory, r: InteractionMatrix, f: FeatureSet) -> dict:
-    """Write interactions plus feature files in canonical index order."""
+    """Write feature files plus interactions in canonical index order.
+
+    The features go first, so a feature set that `write_feature_set`
+    refuses leaves no file behind.
+    """
     check_row_count(f, r)
     r2, f2 = canonicalize_dataset(r, f)
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_interactions(directory / "interactions.tsv", r2)
     feature_files = write_feature_set(directory, f2)
+    write_interactions(Path(directory) / "interactions.tsv", r2)
     return {"interactions": "interactions.tsv", "features": feature_files}

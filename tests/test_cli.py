@@ -1,14 +1,20 @@
 import argparse
+import ast
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmimpute
+import mmimpute.cli
+import mmimpute.io
 from mmimpute import DivergentDiffusion, ImputeConfig, InvalidParameter, run_sweep, synth_generate
 from mmimpute.cli import build_parser, main, parse_dims, parse_features, parse_grid, parse_methods
 from mmimpute.graph import cooccurrence, topk_sparsify
@@ -213,6 +219,26 @@ def test_drop_subcommand(tmp_path, capsys):
     assert stats["after"]["missing"] == {"text": 0}
     assert (out / "interactions.tsv").exists()
     assert read_feature_matrix(out / "text.fmat").shape == (2, 2)
+
+
+def test_drop_frees_its_input_before_writing(tmp_path, monkeypatch):
+    loaded, freed = [], []
+
+    def load_feature_set(*args, **kwargs):
+        f = mmimpute.io.load_feature_set(*args, **kwargs)
+        loaded.append(weakref.ref(f))
+        return f
+
+    def write_dataset(*args, **kwargs):
+        freed.append(loaded[0]() is None)
+        return mmimpute.io.write_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(mmimpute.cli, "load_feature_set", load_feature_set)
+    monkeypatch.setattr(mmimpute.cli, "write_dataset", write_dataset)
+    out = tmp_path / "dropped"
+    assert main(["drop", *tiny_dataset(tmp_path), "--out", str(out)]) == 0
+    assert json.loads((out / "stats.json").read_text())["after"]["n_items"] == 2  # c is dropped
+    assert freed == [True]
 
 
 def test_synth_and_evaluate_round_trip(tmp_path, capsys):
@@ -431,6 +457,31 @@ def test_impute_beyond_float32_range_is_data_error(tmp_path, capsys):
     assert not (out / "text.fmat").exists()
 
 
+def test_refused_modality_leaves_no_output(tmp_path, capsys):
+    # a star: the masked hub i0 co-interacts with 100 leaves. One hop gives
+    # it 10 in text, but 100 * 1e38 / sqrt(100) = 1e39 in visual, which
+    # float32 cannot hold; text comes first and must not be written either
+    n = 100
+    (tmp_path / "r.tsv").write_text("".join(f"u{i}\ti0\nu{i}\ti{i + 1}\n" for i in range(n)))
+    features = []
+    for name, leaf in [("text", 1.0), ("visual", 1e38)]:
+        feats = np.full((n + 1, 2), leaf, dtype=np.float32)
+        feats[0] = 0.0
+        write_feature_matrix(tmp_path / f"{name}.fmat", feats)
+        features += ["--features", f"{name}={tmp_path / f'{name}.fmat'}"]
+    (tmp_path / "mask.tsv").write_text("i0\ttext\ni0\tvisual\n")
+    out = tmp_path / "out"
+    assert main([
+        "impute", "--interactions", str(tmp_path / "r.tsv"), *features,
+        "--mask", str(tmp_path / "mask.tsv"),
+        "--method", "multihop", "--hops", "1", "--top-k", "200", "--out", str(out),
+    ]) == 2
+    assert "visual.fmat: refusing to write values that are not finite at float32" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists() or not any(out.iterdir())
+
+
 def subcommand_actions(command):
     """The argparse actions of one subcommand, by destination."""
     parser = build_parser()
@@ -472,6 +523,38 @@ def test_each_rule_has_one_message():
     }
     assert len(method) == 1
     assert method.pop().startswith("unknown method 'bogus'; expected one of zeros, random")
+
+
+def invalid_parameter_templates():
+    """Each `raise InvalidParameter(...)` message template in the package, with its places.
+
+    An f-string's fields read as "{}", so the same rule checked in two
+    places shows up as one template raised twice.
+    """
+    places = defaultdict(list)
+    for path in sorted(Path(mmimpute.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "InvalidParameter" and call.args):
+                continue
+            message = call.args[0]
+            if isinstance(message, ast.JoinedStr):
+                template = "".join(
+                    part.value if isinstance(part, ast.Constant) else "{}" for part in message.values
+                )
+            elif isinstance(message, ast.Constant):
+                template = message.value
+            else:
+                continue
+            places[template].append(f"{path.name}:{node.lineno}")
+    return places
+
+
+def test_each_invalid_parameter_template_is_raised_once():
+    places = invalid_parameter_templates()
+    assert "top_k must be at least 1, got {}" in places  # the walk sees f-strings
+    assert {t: p for t, p in places.items() if len(p) > 1} == {}
 
 
 @pytest.mark.parametrize("command", ["impute", "drop", "stats", "synth", "evaluate"])

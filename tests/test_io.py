@@ -5,6 +5,7 @@ import pytest
 
 from mmimpute import (
     EmptyDataset,
+    FeatureSet,
     FormatError,
     InconsistentData,
     ParseError,
@@ -22,6 +23,7 @@ from mmimpute.io import (
     read_mask,
     write_dataset,
     write_feature_matrix,
+    write_feature_set,
     write_interactions,
 )
 
@@ -116,6 +118,34 @@ def test_feature_matrix_rejects_float32_overflow(tmp_path):
     with pytest.raises(FormatError, match="not finite at float32"):
         write_feature_matrix(path, np.array([[1e39]]))
     assert not path.exists()
+
+
+def test_feature_matrix_float32_range_boundary(tmp_path):
+    # halfway between the float32 maximum and 2^128, which rounds to inf
+    limit = 2.0**128 - 2.0**103
+    below = np.nextafter(limit, 0.0)
+    path = tmp_path / "m.fmat"
+    write_feature_matrix(path, np.array([[below, -below]]))
+    top = np.finfo(np.float32).max
+    assert read_feature_matrix(path).tolist() == [[top, -top]]
+    for bad in (limit, -limit, np.nan):
+        with pytest.raises(FormatError, match="not finite at float32"):
+            write_feature_matrix(tmp_path / "bad.fmat", np.array([[0.0, bad]]))
+    assert not (tmp_path / "bad.fmat").exists()
+
+
+@pytest.mark.parametrize("writer", ["write_feature_set", "write_dataset"])
+def test_refused_modality_writes_no_file(tmp_path, writer):
+    # the good modality comes first, so writing as it goes would leave it behind
+    r = InteractionMatrix.from_pairs([(0, 0), (0, 1)], 1, 2)
+    f = FeatureSet.create([("good", np.ones((2, 2))), ("bad", np.full((2, 2), 1e39))])
+    out = tmp_path / "out"
+    with pytest.raises(FormatError, match=r"bad\.fmat: refusing to write values"):
+        if writer == "write_feature_set":
+            write_feature_set(out, f)
+        else:
+            write_dataset(out, r, f)
+    assert not out.exists()
 
 
 def read_interactions_text(tmp_path, text):
