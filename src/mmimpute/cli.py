@@ -185,11 +185,11 @@ def _cmd_evaluate(args) -> int:
     methods = parse_methods(args.methods)
     top_k_grid, hops_grid = parse_grid(args.top_k_grid), parse_grid(args.hops_grid)
     check_hide_fraction(args.hide_fraction)
-    for method in methods:  # the checks each configuration of the sweep makes
-        ImputeConfig(
-            method=method, alpha=args.alpha, seed=args.seed,
-            cold_fallback=args.fallback, iter_tolerance=args.iter_tolerance,
-        )
+    # the sweep's shared flags; parse_methods has checked every method
+    ImputeConfig(
+        method=methods[0], alpha=args.alpha, seed=args.seed,
+        cold_fallback=args.fallback, iter_tolerance=args.iter_tolerance,
+    )
     _check_writable(args.out)
     r, f = _load_dataset(args)
     rows = run_sweep(

@@ -151,12 +151,13 @@ def first_appearance_order(matrix: sp.csr_matrix) -> np.ndarray:
     Items come in order of first appearance in the row-major entry stream
     (`matrix.indices`, sorted in each row), then items with no entry, in
     index order. A dataset reindexed this way re-reads with the same indexing.
+    One scatter finds each item's earliest stream position; items with no
+    entry keep the position `nnz`, so the stable sort puts them last.
     """
     stream = matrix.indices
-    _, first_pos = np.unique(stream, return_index=True)
-    seen = np.zeros(matrix.shape[1], dtype=bool)
-    seen[stream] = True
-    return np.concatenate([stream[np.sort(first_pos)], np.flatnonzero(~seen)])
+    first = np.full(matrix.shape[1], stream.size)
+    np.minimum.at(first, stream, np.arange(stream.size))
+    return np.argsort(first, kind="stable")
 
 
 def _index_by_first_appearance(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:

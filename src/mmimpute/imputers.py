@@ -10,7 +10,9 @@ contribute nothing to a neighborhood average. The graph-aware
 strategies consume structures from `graph`. Because observed rows never
 change under clamping, the graph methods compute only masked rows:
 neighbor means and clamped hops multiply the operator's masked rows,
-never the whole matrix.
+never the whole matrix. One rule, `_fill`, sets the rows no hop reaches
+to the fallback row (zeros or the observed mean); `global-mean` applies
+it to every masked row.
 """
 
 from __future__ import annotations
@@ -70,10 +72,16 @@ def _observed_mean(f: FeatureSet, modality: str) -> np.ndarray:
     return f.matrices[modality][observed].astype(np.float64).mean(axis=0)
 
 
-def _fallback_row(f: FeatureSet, modality: str, fallback: str) -> np.ndarray:
-    if fallback == "zeros":
-        return np.zeros(f.dim(modality))
-    return _observed_mean(f, modality)
+def _fill(f: FeatureSet, modality: str, x: np.ndarray, rows: np.ndarray, fallback: str):
+    """Set the boolean `rows` of `x` to the fallback row: zeros or the observed mean."""
+    if rows.any():
+        x[rows] = 0.0 if fallback == "zeros" else _observed_mean(f, modality)
+
+
+def _cold_rows(f: FeatureSet, g: ItemGraph) -> dict[str, np.ndarray]:
+    """Each modality's masked rows with no neighbor, which no hop reaches."""
+    isolated = g.degrees == 0
+    return {m: isolated & f.masks[m] for m in f.modalities}
 
 
 def _check_graph(f: FeatureSet, g: ItemGraph):
@@ -110,10 +118,8 @@ def impute_global_mean(f: FeatureSet) -> FeatureSet:
     """Replace missing rows with the column-wise mean of observed rows."""
     out = {}
     for m in f.modalities:
-        x = _zero_init(f, m)
-        if f.masks[m].any():
-            x[f.masks[m]] = _observed_mean(f, m)
-        out[m] = x
+        out[m] = _zero_init(f, m)
+        _fill(f, m, out[m], f.masks[m], "global-mean")
     return _cleared(f, out)
 
 
@@ -137,17 +143,9 @@ def impute_neigh_mean(
         return lambda x: (a_rows @ x) / deg
 
     out = _propagate(f, 1, row_step, clamp=True, on_iteration=None)
-    for m in f.modalities:
-        _fill_cold(f, g, m, out[m], fallback)
+    for m, cold in _cold_rows(f, g).items():
+        _fill(f, m, out[m], cold, fallback)
     return _cleared(f, out)
-
-
-def _fill_cold(f: FeatureSet, g: ItemGraph, m: str, x: np.ndarray, fallback: str) -> np.ndarray:
-    """Fill the masked rows of `x` that have no neighbors with the fallback; returns them."""
-    cold = (g.degrees == 0) & f.masks[m]
-    if cold.any():
-        x[cold] = _fallback_row(f, m, fallback)
-    return cold
 
 
 def _propagate(
@@ -338,15 +336,16 @@ def impute(
         counts = counts_graph if counts_graph is not None else cooccurrence(r)
         _check_graph(f, counts)
         g = topk_sparsify(counts, cfg.top_k)
+        cold = _cold_rows(f, g)
         for m in f.modalities:
-            details[m]["cold_items"] = int(((g.degrees == 0) & f.masks[m]).sum())
+            details[m]["cold_items"] = int(cold[m].sum())
         if method == "neigh-mean":
             out = impute_neigh_mean(f, g, cfg.cold_fallback)
         else:
             def cold_filled(m, t, x):
-                cold = _fill_cold(f, g, m, x, cfg.cold_fallback)
+                _fill(f, m, x, cold[m], cfg.cold_fallback)
                 on_iteration(m, t, x)
-                x[cold] = 0.0  # the next hop reads them as placeholders
+                x[cold[m]] = 0.0  # the next hop reads them as placeholders
 
             hook = None if on_iteration is None else cold_filled
             if method == "multihop":
@@ -360,7 +359,7 @@ def impute(
                 for m in f.modalities:
                     details[m].update(stats[m])
             for m in f.modalities:
-                _fill_cold(f, g, m, out.matrices[m], cfg.cold_fallback)
+                _fill(f, m, out.matrices[m], cold[m], cfg.cold_fallback)
     report = {
         "method": method,
         "config": cfg.as_dict(),

@@ -438,6 +438,23 @@ def test_evaluate_out_check_leaves_an_existing_report(tmp_path, monkeypatch):
     assert out.read_text() == "previous report\n"
 
 
+def test_evaluate_hide_fraction_selecting_zero_rows_is_usage_error(tmp_path, capsys):
+    # 0.05 of 12 observed rows rounds down to no row to hide
+    (tmp_path / "r.tsv").write_text(
+        "".join(f"u{k}\ti{k}\nu{k}\ti{(k + 1) % 12}\n" for k in range(12))
+    )
+    write_feature_matrix(tmp_path / "text.fmat", np.arange(24, dtype=np.float32).reshape(12, 2))
+    out = tmp_path / "report.json"
+    code = main([
+        "evaluate", "--interactions", str(tmp_path / "r.tsv"),
+        "--features", f"text={tmp_path / 'text.fmat'}",
+        "--hide-fraction", "0.05", "--methods", "zeros", "--out", str(out),
+    ])
+    assert code == 1
+    assert "hide fraction 0.05 selects zero rows for modality 'text'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_impute_beyond_float32_range_is_data_error(tmp_path, capsys):
     # a masked hub with 100 leaves observed at 1e38: one symmetric-normalized
     # hop gives it 100 * 1e38 / sqrt(100) = 1e39, which float32 cannot hold
@@ -555,6 +572,34 @@ def test_each_invalid_parameter_template_is_raised_once():
     places = invalid_parameter_templates()
     assert "top_k must be at least 1, got {}" in places  # the walk sees f-strings
     assert {t: p for t, p in places.items() if len(p) > 1} == {}
+
+
+def unused_imports():
+    """`module.name` for each name a package module imports and never reads.
+
+    A name listed in the module's `__all__` counts as read: that is how
+    `__init__.py` re-exports.
+    """
+    unused = set()
+    for path in sorted(Path(mmimpute.__file__).parent.glob("*.py")):
+        imported, read = set(), set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+                read.update(ast.literal_eval(node.value))
+        unused.update(f"{path.stem}.{name}" for name in imported - read)
+    return unused
+
+
+def test_no_unused_import():
+    # perfbench/tracer.py wraps imputers.ppr_exact by name; once it stops,
+    # the import must go too
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    allowed = {"imputers.ppr_exact"} if '"ppr_exact"' in tracer.read_text(encoding="utf-8") else set()
+    assert unused_imports() == allowed
 
 
 @pytest.mark.parametrize("command", ["impute", "drop", "stats", "synth", "evaluate"])

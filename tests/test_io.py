@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -89,12 +90,14 @@ def test_feature_matrix_empty_rows(tmp_path):
 
 
 def test_feature_matrix_truncated(tmp_path):
+    # every cut, inside the header and inside the payload, is refused
     path = tmp_path / "m.fmat"
     write_feature_matrix(path, np.ones((3, 2)))
     data = path.read_bytes()
-    path.write_bytes(data[:-3])
-    with pytest.raises(FormatError):
-        read_feature_matrix(path)
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+            read_feature_matrix(path)
 
 
 def test_feature_matrix_bad_magic(tmp_path):
