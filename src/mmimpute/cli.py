@@ -100,6 +100,20 @@ def _check_writable(path):
             raise OSError(code, os.strerror(code), path) from None
 
 
+def _check_writable_dir(path):
+    """Raise the OSError that making directory `path` and writing in it would, creating nothing."""
+    target = existing = os.path.abspath(path)
+    while not os.path.lexists(existing):  # the nearest existing ancestor, or `path` itself
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        code = errno.EEXIST if existing == target else errno.ENOTDIR
+    elif not os.access(existing, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _load_dataset(args):
     r = read_interactions(args.interactions)
     f = load_feature_set(parse_features(args.features), r, getattr(args, "mask", None))
@@ -120,6 +134,7 @@ def _cmd_impute(args) -> int:
         iter_tolerance=args.iter_tolerance,
         clamp=not args.no_clamp,
     )
+    _check_writable_dir(args.out)
     r, f = _load_dataset(args)
     imputed, report = impute(f, r, cfg)
     out = Path(args.out)
@@ -131,6 +146,7 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_drop(args) -> int:
+    _check_writable_dir(args.out)
     # the loaded dataset is never named here, so it is freed before the write
     r, f, before, after = drop_missing(*_load_dataset(args))
     out = Path(args.out)
@@ -160,6 +176,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _check_writable_dir(args.out)
     r, f = synth_generate(
         args.users,
         args.items,

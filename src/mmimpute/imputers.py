@@ -10,9 +10,8 @@ contribute nothing to a neighborhood average. The graph-aware
 strategies consume structures from `graph`. Because observed rows never
 change under clamping, the graph methods compute only masked rows:
 neighbor means and clamped hops multiply the operator's masked rows,
-never the whole matrix. One rule, `_fill`, sets the rows no hop reaches
-to the fallback row (zeros or the observed mean); `global-mean` applies
-it to every masked row.
+never the whole matrix. `_fallback_rows` computes the row given to items
+no hop reaches (zeros or the observed mean) once per call, before any hop.
 """
 
 from __future__ import annotations
@@ -65,17 +64,15 @@ def _zero_init(f: FeatureSet, modality: str) -> np.ndarray:
     return x
 
 
-def _observed_mean(f: FeatureSet, modality: str) -> np.ndarray:
-    observed = ~f.masks[modality]
-    if not observed.any():
-        raise NoObservedFeatures(f"modality '{modality}' has no observed rows")
-    return f.matrices[modality][observed].astype(np.float64).mean(axis=0)
-
-
-def _fill(f: FeatureSet, modality: str, x: np.ndarray, rows: np.ndarray, fallback: str):
-    """Set the boolean `rows` of `x` to the fallback row: zeros or the observed mean."""
-    if rows.any():
-        x[rows] = 0.0 if fallback == "zeros" else _observed_mean(f, modality)
+def _fallback_rows(f: FeatureSet, rows: dict[str, np.ndarray], fallback: str) -> dict:
+    """Each modality's row for its boolean `rows`: 0.0, or the mean of its observed rows."""
+    fill = dict.fromkeys(rows, 0.0)
+    for m, to_fill in rows.items():
+        if fallback == "global-mean" and to_fill.any():
+            if f.masks[m].all():
+                raise NoObservedFeatures(f"modality '{m}' has no observed rows")
+            fill[m] = f.matrices[m][~f.masks[m]].astype(np.float64).mean(axis=0)
+    return fill
 
 
 def _cold_rows(f: FeatureSet, g: ItemGraph) -> dict[str, np.ndarray]:
@@ -116,10 +113,10 @@ def impute_random(f: FeatureSet, seed: int) -> FeatureSet:
 
 def impute_global_mean(f: FeatureSet) -> FeatureSet:
     """Replace missing rows with the column-wise mean of observed rows."""
-    out = {}
-    for m in f.modalities:
-        out[m] = _zero_init(f, m)
-        _fill(f, m, out[m], f.masks[m], "global-mean")
+    fill = _fallback_rows(f, f.masks, "global-mean")
+    out = {m: _zero_init(f, m) for m in f.modalities}
+    for m, x in out.items():
+        x[f.masks[m]] = fill[m]
     return _cleared(f, out)
 
 
@@ -134,6 +131,8 @@ def impute_neigh_mean(
     """
     check_cold_fallback(fallback)
     _check_graph(f, g)
+    cold = _cold_rows(f, g)
+    fill = _fallback_rows(f, cold, fallback)
 
     def row_step(m, rows):
         # one hop reads placeholders, not results. CSR products sum each
@@ -143,8 +142,8 @@ def impute_neigh_mean(
         return lambda x: (a_rows @ x) / deg
 
     out = _propagate(f, 1, row_step, clamp=True, on_iteration=None)
-    for m, cold in _cold_rows(f, g).items():
-        _fill(f, m, out[m], cold, fallback)
+    for m, x in out.items():
+        x[cold[m]] = fill[m]
     return _cleared(f, out)
 
 
@@ -257,12 +256,14 @@ def _pers_pagerank(
     check_iter_tolerance(iter_tolerance)
     _check_graph(f, g)
     a_sl = ppr_iterative(g, alpha).matrix
+    cold = _cold_rows(f, g)
     steps: dict[str, list[int]] = {m: [] for m in f.modalities}
     residuals: dict[str, list[float]] = {m: [] for m in f.modalities}
 
     def row_step(m, rows):
         def step(x):
             # the fixed point couples every row; only `rows` are kept
+            x[cold[m]] = 0.0  # x0 holds cold rows as placeholders, not a hook's fill
             result, n_steps, residual = _ppr_fixed_point(a_sl, alpha, x, iter_tolerance)
             steps[m].append(n_steps)
             residuals[m].append(residual)
@@ -342,12 +343,13 @@ def impute(
         if method == "neigh-mean":
             out = impute_neigh_mean(f, g, cfg.cold_fallback)
         else:
-            def cold_filled(m, t, x):
-                _fill(f, m, x, cold[m], cfg.cold_fallback)
-                on_iteration(m, t, x)
-                x[cold[m]] = 0.0  # the next hop reads them as placeholders
+            fill = _fallback_rows(f, cold, cfg.cold_fallback)
 
-            hook = None if on_iteration is None else cold_filled
+            def hook(m, t, x):
+                x[cold[m]] = fill[m]  # no multihop hop reads it; the PPR step zeroes it
+                if on_iteration is not None:
+                    on_iteration(m, t, x)
+
             if method == "multihop":
                 op = sym_norm_adjacency(g)
                 out = impute_multihop(f, op, cfg.hops, clamp=cfg.clamp, on_iteration=hook)
@@ -358,8 +360,6 @@ def impute(
                 )
                 for m in f.modalities:
                     details[m].update(stats[m])
-            for m in f.modalities:
-                _fill(f, m, out.matrices[m], cold[m], cfg.cold_fallback)
     report = {
         "method": method,
         "config": cfg.as_dict(),

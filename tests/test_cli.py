@@ -160,6 +160,43 @@ def test_divergent_alpha_is_numerical_error(tmp_path):
     assert code == 3
 
 
+def two_modality_dataset(tmp_path, pairs, a_mask, b, b_mask):
+    """Flags for modality `a` (zeros, masked at `a_mask`) and `b`."""
+    (tmp_path / "r.tsv").write_text("".join(f"{u}\t{i}\n" for u, i in pairs))
+    write_feature_matrix(tmp_path / "a.fmat", np.zeros((len(b), 1), dtype=np.float32))
+    write_feature_matrix(tmp_path / "b.fmat", np.array(b, dtype=np.float32))
+    lines = [f"{i}\ta\n" for i in a_mask] + [f"{i}\tb\n" for i in b_mask]
+    (tmp_path / "mask.tsv").write_text("".join(lines))
+    return [
+        "--interactions", str(tmp_path / "r.tsv"),
+        "--features", f"a={tmp_path / 'a.fmat'}", "--features", f"b={tmp_path / 'b.fmat'}",
+        "--mask", str(tmp_path / "mask.tsv"),
+    ]
+
+
+def test_missing_fallback_is_data_error_before_divergence(tmp_path, capsys):
+    # `a` is all masked with a cold item c; `b` alone would diverge (exit 3)
+    pairs = [("u1", "a"), ("u1", "b"), ("u2", "c")]
+    args = two_modality_dataset(tmp_path, pairs, "abc", [[1.0], [0.0], [2.0]], "b")
+    argv = ["impute", *args, "--method", "pers-pagerank", "--alpha", "0.5"]
+    assert main([*argv, "--fallback", "zeros", "--out", str(tmp_path / "z")]) == 3
+    assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert "modality 'a' has no observed rows" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_all_masked_modality_without_cold_items_cli(tmp_path):
+    # every item has a neighbor: the graph methods succeed and write zeros
+    # for `a`; global-mean has no observed `a` row to average
+    pairs = [("u1", "a"), ("u1", "b"), ("u2", "b"), ("u2", "c")]
+    args = two_modality_dataset(tmp_path, pairs, "abc", [[1.0], [0.0], [2.0]], "b")
+    for method in ("neigh-mean", "multihop", "pers-pagerank"):
+        out = tmp_path / method
+        assert main(["impute", *args, "--method", method, "--out", str(out)]) == 0
+        assert not read_feature_matrix(out / "a.fmat").any()
+    assert main(["impute", *args, "--method", "global-mean", "--out", str(tmp_path / "g")]) == 2
+
+
 def test_impute_ppr_default_beyond_dense_cap(tmp_path):
     # the default solver handles graphs past the 2,000-item dense cap;
     # `--ppr-mode` accepts only `iterative`
@@ -347,18 +384,29 @@ def test_non_finite_noise_sigma_is_usage_error(tmp_path, capsys, sigma):
 
 
 def unwritable_argv(tmp_path, command, where):
-    """argv whose --out cannot be written, and the path the error names."""
+    """argv whose --out cannot be written, and the path the error names.
+
+    The inputs of `impute` and `drop` do not exist, so reading them first
+    would exit 2 with "cannot read" instead.
+    """
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n")
+    missing = [
+        "--interactions", str(tmp_path / "missing.tsv"),
+        "--features", f"text={tmp_path / 'missing.fmat'}", "--mask", str(tmp_path / "missing.tsv"),
+    ]
     if command == "synth":
         argv = SMALL_SYNTH
     elif command == "impute":
-        argv = ["impute", *tiny_dataset(tmp_path), "--method", "zeros"]
+        argv = ["impute", *missing, "--method", "zeros"]
     elif command == "evaluate":
         argv = ["evaluate", *tiny_dataset(tmp_path), "--hide-fraction", "0.5", "--methods", "zeros"]
     else:
-        argv = [command, *tiny_dataset(tmp_path)]
-    out = {"file": taken, "directory": tmp_path, "missing-parent": tmp_path / "no" / "r.json"}[where]
+        argv = [command, *missing]
+    out = {
+        "file": taken, "under-file": taken / "out", "directory": tmp_path,
+        "missing-parent": tmp_path / "no" / "r.json",
+    }[where]
     return [*argv, "--out", str(out)], out
 
 
@@ -367,12 +415,17 @@ def unwritable_argv(tmp_path, command, where):
     [
         ("impute", "file"),
         ("drop", "file"),
+        ("drop", "under-file"),
         ("synth", "file"),
         ("evaluate", "directory"),
         ("evaluate", "missing-parent"),
     ],
 )
-def test_unwritable_output_is_data_error(tmp_path, capsys, command, where):
+def test_unwritable_output_is_data_error(tmp_path, capsys, monkeypatch, command, where):
+    def no_synth(*args, **kwargs):
+        raise AssertionError("synth generated a dataset")
+
+    monkeypatch.setattr("mmimpute.cli.synth_generate", no_synth)
     argv, out = unwritable_argv(tmp_path, command, where)
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -26,6 +26,7 @@ from mmimpute import (
     topk_sparsify,
 )
 
+from mmimpute.features import FALLBACKS
 from mmimpute.imputers import _ppr_fixed_point
 
 from helpers import (
@@ -565,6 +566,53 @@ def test_impute_hook_restores_cold_placeholders():
     _, hooked = impute(f, r, cfg, on_iteration=lambda m, t, x: None)
     assert plain["modalities"]["m"]["fixed_point_steps"] == [1, 1, 1]
     assert hooked["modalities"] == plain["modalities"]
+
+
+def test_missing_fallback_is_raised_before_the_first_hop():
+    # `a` is all masked and item 2 is cold, so the global-mean fallback has
+    # no observed row; `b` diverges at alpha 0.5 on the two-item component.
+    # The fallback error comes first, hook or not, before any fixed point
+    r = InteractionMatrix.from_pairs([(0, 0), (0, 1), (1, 2)], 2, 3)
+    f = FeatureSet.create(
+        [("a", np.zeros((3, 1))), ("b", np.array([[1.0], [0.0], [2.0]]))],
+        {"a": np.ones(3, dtype=bool), "b": np.array([False, True, False])},
+    )
+    cfg = ImputeConfig(method="pers-pagerank", alpha=0.5)
+    with pytest.raises(DivergentDiffusion):
+        impute(f, r, dataclasses.replace(cfg, cold_fallback="zeros"))
+    seen = []
+    for hook in (None, lambda m, t, x: seen.append((m, t))):
+        with pytest.raises(NoObservedFeatures, match="modality 'a' has no observed rows"):
+            impute(f, r, cfg, on_iteration=hook)
+    assert seen == []
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_all_masked_modality_without_cold_items(seed):
+    # every item has a neighbor, so no fallback is needed: the graph
+    # methods fill the all-masked modality with its zero placeholders and
+    # leave the other one's observed rows as they are
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 16))
+    edges = np.argwhere(np.triu(random_connected_graph(rng, n).adjacency.toarray()))
+    r = InteractionMatrix.from_pairs(
+        [(u, i) for u, edge in enumerate(edges) for i in edge], len(edges), n
+    )
+    other = random_feature_set(rng, n, dim=3, name="b")
+    f = FeatureSet.create(
+        [("a", np.zeros((n, 2))), ("b", other.matrices["b"])],
+        {"a": np.ones(n, dtype=bool), "b": other.masks["b"]},
+    )
+    observed = ~f.masks["b"]
+    for method in ("neigh-mean", "multihop", "pers-pagerank"):
+        for fallback in FALLBACKS:
+            cfg = ImputeConfig(method=method, top_k=int(rng.integers(1, 4)), cold_fallback=fallback)
+            out, report = impute(f, r, cfg)
+            assert [d["cold_items"] for d in report["modalities"].values()] == [0, 0]
+            assert out.matrices["a"].tobytes() == np.zeros((n, 2)).tobytes()
+            assert out.matrices["b"][observed].tobytes() == f.matrices["b"][observed].tobytes()
+    with pytest.raises(NoObservedFeatures, match="modality 'a'"):
+        impute(f, r, ImputeConfig(method="global-mean"))
 
 
 def graph_stage_datasets():

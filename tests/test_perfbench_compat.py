@@ -15,18 +15,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmimpute.io import write_feature_matrix
+from mmimpute.io import read_feature_matrix, write_feature_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def tiny_dataset(tmp_path):
+def tiny_dataset(tmp_path, cold=False):
+    """A ring of 40 items; `cold` adds item 40, masked, with a user of its own."""
     n = 40
     pairs = "".join(f"u{i}\ti{(i + d) % n}\n" for i in range(n) for d in (0, 1, 3))
+    masked = list(range(0, n, 5))
+    if cold:
+        pairs += f"u{n}\ti{n}\n"
+        masked.append(n)
+        n += 1
     (tmp_path / "r.tsv").write_text(pairs)
     feats = np.random.default_rng(0).standard_normal((n, 4)).astype(np.float32)
-    masked = range(0, n, 5)
-    feats[list(masked)] = 0.0
+    feats[masked] = 0.0
     write_feature_matrix(tmp_path / "text.fmat", feats)
     (tmp_path / "mask.tsv").write_text("".join(f"i{i}\ttext\n" for i in masked))
     return [
@@ -36,7 +41,7 @@ def tiny_dataset(tmp_path):
     ]
 
 
-def traced_run(tmp_path, command, flags):
+def traced_run(tmp_path, command, flags, cold=False):
     """Run one CLI command under the tracer; returns its spans file as JSON."""
     spans = tmp_path / "spans.json"
     src = str(ROOT / "src")
@@ -45,7 +50,7 @@ def traced_run(tmp_path, command, flags):
     proc = subprocess.run(
         [
             sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans),
-            command, *tiny_dataset(tmp_path), *flags, "--out", str(tmp_path / "out"),
+            command, *tiny_dataset(tmp_path, cold), *flags, "--out", str(tmp_path / "out"),
         ],
         env=env, capture_output=True, text=True, timeout=60,
     )
@@ -69,6 +74,23 @@ def test_traced_impute_runs(tmp_path, flags):
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         steps = sum(sum(m["fixed_point_steps"]) for m in report["modalities"].values())
         assert counts["imputers.fixed_point_steps"] == steps > 0
+
+
+@pytest.mark.parametrize("method", ["pers-pagerank", "multihop"])
+def test_traced_impute_fills_a_cold_item(tmp_path, method):
+    # the hook that fills cold rows runs under the tracer's own hook
+    counts = traced_run(tmp_path, "impute", ["--method", method, "--hops", "10"], cold=True)["counts"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["modalities"]["text"]["cold_items"] == 1
+    assert counts["imputers.hops"] == 10
+    if method == "pers-pagerank":
+        steps = sum(report["modalities"]["text"]["fixed_point_steps"])
+        assert counts["imputers.fixed_point_steps"] == steps > 0
+    feats = read_feature_matrix(tmp_path / "text.fmat")
+    mask = np.zeros(len(feats), dtype=bool)
+    mask[[*range(0, 40, 5), 40]] = True
+    fallback = feats[~mask].astype(np.float64).mean(axis=0).astype(np.float32)
+    assert read_feature_matrix(tmp_path / "out" / "text.fmat")[40].tobytes() == fallback.tobytes()
 
 
 def test_traced_drop_runs(tmp_path):
