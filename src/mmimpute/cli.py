@@ -14,7 +14,14 @@ import time
 from pathlib import Path
 
 from .errors import DataError, InconsistentData, InvalidParameter, NumericalError, UsageError
-from .evaluate import check_hide_fraction, dataset_stats, drop_missing, run_sweep, synth_generate
+from .evaluate import (
+    check_hide_fraction,
+    check_synth_params,
+    dataset_stats,
+    drop_missing,
+    run_sweep,
+    synth_generate,
+)
 from .features import FALLBACKS, ImputeConfig, METHODS, validate
 from .imputers import impute
 from .io import load_feature_set, read_interactions, write_dataset, write_feature_set
@@ -176,8 +183,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _check_writable_dir(args.out)
-    r, f = synth_generate(
+    params = (
         args.users,
         args.items,
         args.communities,
@@ -187,6 +193,9 @@ def _cmd_synth(args) -> int:
         args.noise_sigma,
         args.seed,
     )
+    check_synth_params(*params)
+    _check_writable_dir(args.out)
+    r, f = synth_generate(*params)
     files = write_dataset(args.out, r, f)
     _dump_json(
         Path(args.out) / "stats.json",

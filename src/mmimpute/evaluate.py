@@ -173,6 +173,33 @@ def _modality_metrics(m: str, got: np.ndarray, want: np.ndarray) -> ModalityMetr
     return ModalityMetrics(rmse, mean_cosine, len(got), excluded)
 
 
+def check_synth_params(
+    n_users: int,
+    n_items: int,
+    n_communities: int,
+    p_in: float,
+    p_out: float,
+    dims: Sequence[tuple[str, int]],
+    noise_sigma: float,
+    seed: int,
+):
+    """Raise InvalidParameter unless `synth_generate` accepts these arguments."""
+    if n_users < 1 or n_items < 1:
+        raise InvalidParameter("n_users and n_items must be positive")
+    if n_communities < 1:
+        raise InvalidParameter("n_communities must be at least 1")
+    if not (0.0 <= p_out < p_in <= 1.0):
+        raise InvalidParameter(f"need 0 <= p_out < p_in <= 1, got p_in={p_in} p_out={p_out}")
+    if not (0.0 <= noise_sigma < np.inf):
+        raise InvalidParameter("noise_sigma must be finite and nonnegative")
+    if not dims:
+        raise InvalidParameter("at least one modality dimension is required")
+    check_seed(seed)
+    for name, dim in dims:
+        if dim < 1:
+            raise InvalidParameter(f"modality '{name}': dimension must be positive")
+
+
 def synth_generate(
     n_users: int,
     n_items: int,
@@ -192,17 +219,7 @@ def synth_generate(
     first, then per modality centroids and noise, so a seed pins the
     whole dataset.
     """
-    if n_users < 1 or n_items < 1:
-        raise InvalidParameter("n_users and n_items must be positive")
-    if n_communities < 1:
-        raise InvalidParameter("n_communities must be at least 1")
-    if not (0.0 <= p_out < p_in <= 1.0):
-        raise InvalidParameter(f"need 0 <= p_out < p_in <= 1, got p_in={p_in} p_out={p_out}")
-    if not (0.0 <= noise_sigma < np.inf):
-        raise InvalidParameter("noise_sigma must be finite and nonnegative")
-    if not dims:
-        raise InvalidParameter("at least one modality dimension is required")
-    check_seed(seed)
+    check_synth_params(n_users, n_items, n_communities, p_in, p_out, dims, noise_sigma, seed)
     rng = np.random.default_rng(seed)
     community_u = np.arange(n_users) % n_communities
     community_i = np.arange(n_items) % n_communities
@@ -215,8 +232,6 @@ def synth_generate(
     r = InteractionMatrix.from_pairs(np.column_stack((rows, cols)), n_users, n_items)
     matrices = []
     for name, dim in dims:
-        if dim < 1:
-            raise InvalidParameter(f"modality '{name}': dimension must be positive")
         centroids = rng.standard_normal((n_communities, dim))
         noise = rng.standard_normal((n_items, dim)) * noise_sigma
         matrices.append((name, centroids[community_i] + noise))

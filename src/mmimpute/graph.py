@@ -8,11 +8,15 @@ diffusion operators over the top-k sparsified binary graph.
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs  # the kernel `csr_matrix @` runs
 
 from .errors import (
     EmptyDataset,
@@ -33,6 +37,12 @@ PPR_EXACT_CAP = 2000
 
 # 1-norm condition estimates above this are treated as singular.
 CONDITION_LIMIT = 1e12
+
+# Least work (stored entries x operand columns) given a row block of its
+# own. On 2 cores a thread hand-off costs about 0.1 ms: two blocks took
+# 0.53-0.99 of one block's time from 2**21 of work (about 1 ms) up, and up
+# to 1.16 below it.
+MIN_BLOCK_WORK = 2**20
 
 
 def _binary_csr(rows, cols, shape) -> sp.csr_matrix:
@@ -237,6 +247,108 @@ def topk_sparsify(g: ItemGraph, k: int) -> ItemGraph:
     return ItemGraph(sym, KIND_BINARY, _row_nnz(sym))
 
 
+@functools.cache
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None
+
+
+def _thread_pool() -> ThreadPoolExecutor:
+    """The process-wide pool, started on first use.
+
+    Two threads racing here may start a spare pool; it is never used again
+    and its threads exit once it is collected.
+    """
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_usable_cores(), thread_name_prefix="mmimpute")
+    return _pool
+
+
+def _forget_pool():
+    global _pool
+    _pool = None  # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _block_count(matrix: sp.csr_matrix, n_cols: int) -> int:
+    """Row blocks of a product of `matrix` with an operand of `n_cols` columns.
+
+    One block per `MIN_BLOCK_WORK` of work (stored entries x `n_cols`), at
+    most one per usable core, and at least one.
+    """
+    return max(1, min(_usable_cores(), matrix.nnz * n_cols // MIN_BLOCK_WORK))
+
+
+def _run_job(job: list):
+    fn, args, errors = job.pop()  # a finished job keeps no reference to its arrays
+    with np.errstate(**errors):  # numpy's error handling is per thread
+        return fn(*args)
+
+
+def _run_blocks(fn: Callable, bounds: list[int], *args) -> list:
+    """`[fn(*args, lo, hi) for each block]`, the first block in the calling thread.
+
+    Block i is rows `bounds[i]:bounds[i + 1]`. The other blocks run on the
+    pool, which a single block never touches, under the caller's
+    `np.errstate`.
+    """
+    if len(bounds) == 2:
+        return [fn(*args, *bounds)]
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    errors = dict(np.geterr(), call=np.geterrcall())
+    jobs = [[(fn, (*args, lo, hi), errors)] for lo, hi in blocks[1:]]
+    futures = [_thread_pool().submit(_run_job, job) for job in jobs]
+    first = fn(*args, *blocks[0])
+    return [first] + [f.result() for f in futures]
+
+
+class RowBlockedCSR(sp.csr_matrix):
+    """A float64 CSR matrix whose large products run as row blocks on all usable cores.
+
+    `self @ x` with `x` a C-contiguous float64 array of more than one
+    column splits into `_block_count` contiguous row blocks of about equal
+    stored entries. The calling thread allocates one zeroed output, and
+    each block runs scipy's own kernel (`csr_matvecs`, which `csr_matrix @`
+    runs) over its rows, writing them in place. Each output row is summed
+    in the order `csr_matrix @` sums it, so the product has the same bits
+    at any block count. A product of one block, and a product with any
+    other operand (1-D, one column, which scipy sends to another kernel,
+    another dtype or layout), is `csr_matrix.__matmul__` itself. Row
+    slices keep the type.
+    """
+
+    def __matmul__(self, x):
+        if not (
+            type(x) is np.ndarray and x.ndim == 2 and x.shape[1] > 1
+            and x.shape[0] == self.shape[1] and x.dtype == self.dtype == np.float64
+            and x.flags.c_contiguous
+        ):
+            return super().__matmul__(x)
+        n_blocks = _block_count(self, x.shape[1])
+        if n_blocks == 1:
+            return super().__matmul__(x)
+        # contiguous row blocks holding about equal stored entries
+        inner = np.searchsorted(self.indptr, np.arange(1, n_blocks) * (self.nnz / n_blocks))
+        out = np.zeros((self.shape[0], x.shape[1]))
+        _run_blocks(self._product_rows, [0, *inner.tolist(), self.shape[0]], x, out)
+        return out
+
+    def _product_rows(self, x: np.ndarray, out: np.ndarray, lo: int, hi: int):
+        csr_matvecs(
+            hi - lo, self.shape[1], x.shape[1], self.indptr[lo:hi + 1], self.indices,
+            self.data, x.ravel(), out[lo:hi].ravel(),
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class NormalizedOperator:
     """A diffusion operator derived from a binary item graph.
@@ -253,12 +365,16 @@ class NormalizedOperator:
     mode "ppr-exact": `matrix` is the dense personalized-PageRank
     operator alpha * B^-1 with B = I - (1 - alpha) * A_sl, a reference
     for small graphs that the fixed point must match.
+
+    The sparse matrices are `RowBlockedCSR`: their products with wide
+    float64 operands are split over the usable cores, with the same bits
+    as a one-thread product.
     """
 
     base: ItemGraph
     mode: str
     alpha: float | None
-    matrix: sp.csr_matrix | np.ndarray
+    matrix: RowBlockedCSR | np.ndarray
 
 
 def _require_binary(g: ItemGraph):
@@ -278,7 +394,7 @@ def check_alpha(alpha: float):
         raise InvalidParameter(f"alpha must be in (0, 1], got {alpha}")
 
 
-def _degree_scaled(g: ItemGraph, with_self_loops: bool) -> sp.csr_matrix:
+def _degree_scaled(g: ItemGraph, with_self_loops: bool) -> RowBlockedCSR:
     d = g.degrees.astype(np.float64)
     pos = d > 0
     inv_sqrt = np.zeros_like(d)
@@ -290,7 +406,7 @@ def _degree_scaled(g: ItemGraph, with_self_loops: bool) -> sp.csr_matrix:
         inv[pos] = 1.0 / d[pos]
         w = (w + sp.diags(inv)).tocsr()
     w.sort_indices()
-    return w
+    return RowBlockedCSR(w)
 
 
 def sym_norm_adjacency(g: ItemGraph) -> NormalizedOperator:

@@ -35,6 +35,8 @@ from .graph import (
     InteractionMatrix,
     ItemGraph,
     NormalizedOperator,
+    _block_count,
+    _run_blocks,
     cooccurrence,
     ppr_exact,  # noqa: F401 -- unused; perfbench/tracer.py wraps imputers.ppr_exact by name
     ppr_iterative,
@@ -210,6 +212,21 @@ def impute_multihop(
     return _cleared(f, out)
 
 
+def _relax_rows(
+    x_next: np.ndarray, x: np.ndarray, target: np.ndarray, keep: float, lo: int, hi: int
+) -> float:
+    """Turn rows lo:hi of `x_next = A_sl @ x` into the next iterate; their largest change.
+
+    The change is measured in place in the rows of `x`, the iterate the
+    step leaves dead.
+    """
+    new, old = x_next[lo:hi], x[lo:hi]
+    new *= keep
+    new += target[lo:hi]
+    np.subtract(new, old, out=old)
+    return float(np.abs(old, out=old).max()) if old.size else 0.0
+
+
 def _ppr_fixed_point(
     a_sl, alpha: float, x0: np.ndarray, tolerance: float
 ) -> tuple[np.ndarray, int, float]:
@@ -221,19 +238,26 @@ def _ppr_fixed_point(
     most `tolerance * max|x0|`, so the outcome does not depend on the
     scale of the features, and an all-zero `x0` stops after one step.
 
-    A step allocates only its product: the product is scaled and shifted
-    in place, and the change is measured in the dead previous iterate.
+    A step is one product `a_sl @ x`, the only array it allocates, which
+    `RowBlockedCSR` splits over the usable cores. The product is then
+    scaled and shifted in place, and the change is measured in the dead
+    previous iterate; this pass runs over as many row blocks as the
+    product, on the same pool. Only `target`, `x` and the product are
+    alive at once. The largest change over the blocks is exact, so the
+    iterate, step count and residual have the same bits at any core count.
     """
     bound = tolerance * (float(np.max(np.abs(x0))) if x0.size else 0.0)
     target = alpha * x0
     x = x0.astype(np.float64)
+    # as many blocks as the product, but each row costs this pass the same
+    n_blocks = _block_count(a_sl, x.shape[1])
+    blocks = np.linspace(0, x.shape[0], n_blocks + 1).astype(np.int64).tolist()
     residual = 0.0
     for step in range(1, FIXED_POINT_STEP_CAP + 1):
         x_next = a_sl @ x
-        x_next *= 1.0 - alpha
-        x_next += target
-        np.subtract(x_next, x, out=x)
-        residual = float(np.abs(x, out=x).max()) if x.size else 0.0
+        changes = _run_blocks(_relax_rows, blocks, x_next, x, target, 1.0 - alpha)
+        # np.max, not max: a NaN change must stall the iteration
+        residual = changes[0] if n_blocks == 1 else float(np.max(changes))
         x = x_next
         if residual <= bound:
             return x, step, residual

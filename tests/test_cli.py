@@ -14,6 +14,7 @@ import pytest
 
 import mmimpute
 import mmimpute.cli
+import mmimpute.graph
 import mmimpute.io
 from mmimpute import DivergentDiffusion, ImputeConfig, InvalidParameter, run_sweep, synth_generate
 from mmimpute.cli import build_parser, main, parse_dims, parse_features, parse_grid, parse_methods
@@ -383,6 +384,15 @@ def test_non_finite_noise_sigma_is_usage_error(tmp_path, capsys, sigma):
     assert not out.exists()
 
 
+def test_synth_checks_flags_before_out(tmp_path, capsys):
+    # an unwritable --out is reported only once every flag has passed
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main([*SMALL_SYNTH, "--noise-sigma", "nan", "--out", str(taken)]) == 1
+    assert "noise_sigma must be finite and nonnegative" in capsys.readouterr().err
+    assert taken.read_text() == "a file, not a directory\n"
+
+
 def unwritable_argv(tmp_path, command, where):
     """argv whose --out cannot be written, and the path the error names.
 
@@ -672,9 +682,35 @@ def test_cli_import_stays_light():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    code = f"import sys, mmimpute.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # nor does it start a thread: the product pool starts on first use
+    code = (
+        f"import sys, threading, mmimpute.cli; "
+        f"print([m for m in {heavy!r} if m in sys.modules], threading.active_count())"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] 1"
+
+
+@pytest.mark.parametrize(
+    "argv, starts_pool",
+    [
+        (["drop"], False),
+        (["impute", "--method", "zeros"], False),
+        (["impute", "--method", "global-mean"], False),
+        (["impute", "--method", "neigh-mean"], False),  # multiplies the plain adjacency
+        (["impute", "--method", "multihop"], True),
+    ],
+    ids=["drop", "zeros", "global-mean", "neigh-mean", "multihop"],
+)
+def test_only_operator_products_start_the_pool(tmp_path, monkeypatch, argv, starts_pool):
+    # every product of two or more entries would be split here
+    monkeypatch.setattr(mmimpute.graph, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(mmimpute.graph, "_usable_cores", lambda: 4)
+    thread_pool, started = mmimpute.graph._thread_pool, []
+    monkeypatch.setattr(mmimpute.graph, "_thread_pool", lambda: started.append(1) or thread_pool())
+    command, *flags = argv
+    assert main([command, *tiny_dataset(tmp_path), *flags, "--out", str(tmp_path / "out")]) == 0
+    assert bool(started) == starts_pool

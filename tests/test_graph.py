@@ -1,20 +1,31 @@
+import json
+import multiprocessing
+import os
 import re
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mmimpute import (
     EmptyDataset,
     GraphTooLarge,
+    ImputeConfig,
     InvalidParameter,
     SingularDiffusion,
     build_interaction_matrix,
     cooccurrence,
+    impute,
+    impute_pers_pagerank,
     ppr_exact,
     ppr_iterative,
     sym_norm_adjacency,
     topk_sparsify,
 )
+from mmimpute import graph
 from mmimpute.graph import InteractionMatrix, KIND_BINARY, KIND_COUNTS
 
 from helpers import (
@@ -23,6 +34,7 @@ from helpers import (
     coo_filter_cooccurrence,
     counts_graph,
     random_connected_graph,
+    random_feature_set,
     random_interactions,
     row_list_topk_sparsify,
 )
@@ -310,3 +322,167 @@ def test_ppr_iterative_selfloop_matrix():
     assert a[0, 0] == 1.0  # 1/degree
     assert a[1, 1] == 0.5
     assert a[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+
+@pytest.fixture
+def force_blocks(monkeypatch):
+    """`force(workers)` sets the usable-core count, with any product of work >= 2 split.
+
+    It returns the list of (lo, hi) row blocks the blocked kernel runs from
+    then on.
+    """
+    monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
+    ran = []
+    product_rows = graph.RowBlockedCSR._product_rows
+
+    def recorded(self, x, out, lo, hi):
+        ran.append((lo, hi))
+        product_rows(self, x, out, lo, hi)
+
+    monkeypatch.setattr(graph.RowBlockedCSR, "_product_rows", recorded)
+
+    def force(workers):
+        monkeypatch.setattr(graph, "_usable_cores", lambda: workers)
+        ran.clear()
+        return ran
+
+    return force
+
+
+def blocked_cases():
+    """(name, operator) pairs covering the shapes a row split can get wrong."""
+    rng = np.random.default_rng(61)
+    hub = [(0, j) for j in range(1, 40)] + [(1, 2), (3, 4)]  # row 0 holds most entries
+    return [
+        ("ppr", ppr_iterative(random_connected_graph(rng, 50), 0.5).matrix),
+        ("empty-rows", sym_norm_adjacency(binary_graph(9, [(1, 2), (2, 5), (7, 8)])).matrix),
+        ("hub", sym_norm_adjacency(binary_graph(40, hub)).matrix),
+        ("zero-rows", graph.RowBlockedCSR((0, 7))),
+        ("row-slice", sym_norm_adjacency(random_connected_graph(rng, 30)).matrix[[3, 9, 9, 20]]),
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_blocked_product_has_the_bits_of_one_thread(force_blocks, workers):
+    rng = np.random.default_rng(workers)
+    for name, op in blocked_cases():
+        assert type(op) is graph.RowBlockedCSR, name  # row slices keep the type
+        for cols in (1, 2, 7):
+            x = rng.standard_normal((op.shape[1], cols))
+            ran = force_blocks(workers)
+            got = op @ x
+            want = sp.csr_matrix.__matmul__(op, x)
+            assert type(got) is np.ndarray and got.shape == want.shape, (name, cols)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, cols)
+            if workers > 1 and cols > 1 and op.nnz:
+                # the blocks tile the rows in order, and the split did run
+                bounds = [lo for lo, _ in sorted(ran)] + [op.shape[0]]
+                assert sorted(ran) == list(zip(bounds[:-1], bounds[1:])), (name, cols)
+                assert len(ran) == workers, (name, cols)
+            else:
+                assert ran == [], (name, cols)
+
+
+def test_other_operands_take_the_scipy_product(force_blocks):
+    op = ppr_iterative(random_connected_graph(np.random.default_rng(62), 40), 0.5).matrix
+    x = np.random.default_rng(63).standard_normal((40, 6))
+    operands = {
+        "1-D": x[:, 0].copy(),
+        "float32": x.astype(np.float32),
+        "fortran": np.asfortranarray(x),
+        "strided": x[:, ::2],
+        "sparse": sp.csr_matrix(x),
+    }
+    for name, operand in operands.items():
+        ran = force_blocks(4)
+        got = op @ operand
+        want = sp.csr_matrix.__matmul__(op, operand)
+        if sp.issparse(want):
+            got, want = got.toarray(), want.toarray()
+        assert ran == [], name
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_single_block_never_starts_the_pool(monkeypatch):
+    def no_pool():
+        raise AssertionError("the pool was started")
+
+    monkeypatch.setattr(graph, "_thread_pool", no_pool)
+    rng = np.random.default_rng(64)
+    g = random_connected_graph(rng, 30)
+    f = random_feature_set(rng, 30, dim=4)
+    op = sym_norm_adjacency(g).matrix
+    x = rng.standard_normal((30, 4))
+    for cores, min_work in ((1, 1), (4, 10**9)):  # one core; too little work
+        monkeypatch.setattr(graph, "_usable_cores", lambda n=cores: n)
+        monkeypatch.setattr(graph, "MIN_BLOCK_WORK", min_work)
+        assert np.array_equal(op @ x, sp.csr_matrix.__matmul__(op, x))
+        impute_pers_pagerank(f, g, 0.85, 2)  # the fixed point's row pass too
+
+
+def test_concurrent_callers_share_the_pool(force_blocks, monkeypatch):
+    # more callers and blocks than cores, frequent thread switches, and a
+    # pool that every caller may race to start
+    op = ppr_iterative(random_connected_graph(np.random.default_rng(67), 200), 0.5).matrix
+    xs = [np.random.default_rng(seed).standard_normal((200, 5)) for seed in range(8)]
+    want = [[sp.csr_matrix.__matmul__(op, x).tobytes()] * 20 for x in xs]
+    force_blocks(8)
+    monkeypatch.setattr(graph, "_pool", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as callers:
+            got = list(callers.map(lambda x: [(op @ x).tobytes() for _ in range(20)], xs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def interactions_of_graph(g):
+    """One user per edge of `g`, so `cooccurrence` returns `g` with counts 1."""
+    rows, cols = sp.triu(g.adjacency).nonzero()
+    pairs = np.column_stack((np.repeat(np.arange(rows.size), 2), np.column_stack((rows, cols)).ravel()))
+    return InteractionMatrix.from_pairs(pairs, rows.size, g.n_items)
+
+
+@pytest.mark.parametrize("method", ["multihop", "pers-pagerank"])
+@pytest.mark.parametrize("clamp", [True, False], ids=["clamped", "no-clamp"])
+def test_impute_has_the_same_bits_on_any_worker_count(force_blocks, method, clamp):
+    rng = np.random.default_rng(65)
+    g = random_connected_graph(rng, 120)
+    r = interactions_of_graph(g)
+    assert np.array_equal(cooccurrence(r).adjacency.toarray(), g.adjacency.toarray())
+    f = random_feature_set(rng, 120, dim=6)
+    cfg = ImputeConfig(method=method, top_k=200, hops=4, clamp=clamp, iter_tolerance=1e-9)
+    runs = []
+    for workers in (1, 4):
+        ran = force_blocks(workers)
+        out, report = impute(f, r, cfg)
+        del report["timing"]
+        runs.append((out.matrices["m"].tobytes(), json.dumps(report, sort_keys=True)))
+        assert bool(ran) == (workers > 1)
+    assert runs[0] == runs[1]
+
+
+def test_forked_child_starts_its_own_pool(force_blocks):
+    # the child has none of the parent's threads; jobs sent to the
+    # parent's pool would never run
+    op = sym_norm_adjacency(random_connected_graph(np.random.default_rng(66), 30)).matrix
+    x = np.ones((30, 3))
+    force_blocks(2)
+    want = (op @ x).tobytes()
+    assert graph._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    child = ctx.Process(target=_exit_with_product, args=(op, x, want))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
+        child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def _exit_with_product(op, x, want):
+    os._exit(0 if (op @ x).tobytes() == want else 1)

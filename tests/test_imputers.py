@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from mmimpute import (
     topk_sparsify,
 )
 
+from mmimpute import graph
 from mmimpute.features import FALLBACKS
 from mmimpute.imputers import _ppr_fixed_point
 
@@ -244,6 +247,49 @@ def test_ppr_fixed_point_zero_input_stops_at_once():
     x, steps, residual = _ppr_fixed_point(a_sl, 0.85, np.zeros((3, 2)), 1e-8)
     assert (steps, residual) == (1, 0.0)
     assert not x.any()
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_ppr_fixed_point_memory_stays_flat(monkeypatch, workers):
+    # a step allocates only its product, and the dead iterate is freed
+    # before the next one: no job or closure may keep it alive
+    monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(graph, "_usable_cores", lambda: workers)
+    rng = np.random.default_rng(8)
+    a_sl = ppr_iterative(random_connected_graph(rng, 2048), 0.5).matrix
+    x0 = rng.standard_normal((2048, 64))  # 1 MiB
+    tracemalloc.start()
+    try:
+        _, steps, _ = _ppr_fixed_point(a_sl, 0.5, x0, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps > 3
+    assert peak <= 3 * x0.nbytes + 64 * 1024
+
+
+def test_ppr_fixed_point_nan_in_one_block_is_divergence(monkeypatch):
+    # one component overflows to a NaN change while the other converges:
+    # the residual over the row blocks must be NaN, not the other block's
+    monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(graph, "_usable_cores", lambda: 2)
+    a_sl = ppr_iterative(binary_graph(4, [(0, 1), (2, 3)]), 0.9).matrix
+    x0 = np.array([[1.0, 1.0], [1.0, 1.0], [1e308, 1e308], [1e308, 1e308]])
+    with warnings.catch_warnings(), pytest.raises(DivergentDiffusion, match=r"last residual nan\)"):
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow, in whichever thread
+        _ppr_fixed_point(a_sl, 0.9, x0, 1e-8)
+
+
+def test_ppr_fixed_point_blocks_follow_the_callers_errstate(monkeypatch):
+    # the overflow happens in the second row block, which a pool thread runs
+    monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(graph, "_usable_cores", lambda: 2)
+    a_sl = ppr_iterative(binary_graph(4, [(0, 1), (2, 3)]), 0.9).matrix
+    x0 = np.array([[1.0, 1.0], [1.0, 1.0], [1e308, 1e308], [1e308, 1e308]])
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        _ppr_fixed_point(a_sl, 0.9, x0, 1e-8)
+    with np.errstate(all="ignore"), pytest.raises(DivergentDiffusion):
+        _ppr_fixed_point(a_sl, 0.9, x0, 1e-8)  # no RuntimeWarning, which fails the suite
 
 
 def fixed_point_outcome(solve, *args):
