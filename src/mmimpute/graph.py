@@ -12,6 +12,7 @@ import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -171,9 +172,31 @@ def first_appearance_order(matrix: sp.csr_matrix) -> np.ndarray:
 
 
 def _index_by_first_appearance(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    vocabulary = tuple(dict.fromkeys(ids))
+    """The distinct ids in order of first appearance, and each id's index in it.
+
+    The ids kept are fresh copies (`_compact_copy`), not the objects of
+    `ids`: a parsed column holds one string per line, and its few
+    survivors, scattered among the rest, would keep the parse's memory
+    from being returned once the column is freed.
+    """
+    vocabulary = _compact_copy(tuple(dict.fromkeys(ids)))
     index = dict(zip(vocabulary, range(len(vocabulary))))
     return vocabulary, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
+def _compact_copy(ids: tuple) -> tuple:
+    """Equal copies of `ids`, allocated one after another.
+
+    The ids are joined into one string and cut at their lengths, so no
+    separator is needed and an id may hold any character. Ids that are
+    not all strings are returned as they are.
+    """
+    try:
+        joined = "".join(ids)
+    except TypeError:
+        return ids
+    ends = list(accumulate(map(len, ids)))
+    return tuple([joined[lo:hi] for lo, hi in zip([0, *ends[:-1]], ends)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,22 +248,28 @@ def topk_sparsify(g: ItemGraph, k: int) -> ItemGraph:
 
     Ties in counts break toward the lower item index. An edge survives if
     either endpoint selects it, so the result stays symmetric. The kept
-    edges are marked 0/1 over the stored counts; only rows longer than k
-    are ranked. The input graph is never modified.
+    edges are marked in a boolean mask over the stored counts; only rows
+    longer than k are ranked, and each row keeps min(length, k) edges.
+    The input graph is never modified.
     """
     if g.kind != KIND_COUNTS:
         raise InvalidParameter("top-k sparsification expects a counts graph")
     check_top_k(k)
     adj = g.adjacency
     indptr, indices, data = adj.indptr, adj.indices, adj.data
-    keep = np.ones(indices.size, dtype=np.int64)
-    for i in np.flatnonzero(np.diff(indptr) > k):
+    lengths = np.diff(indptr)
+    keep = np.ones(indices.size, dtype=bool)
+    for i in np.flatnonzero(lengths > k):
         lo, hi = indptr[i], indptr[i + 1]
         order = np.lexsort((indices[lo:hi], -data[lo:hi]))  # count desc, index asc
-        keep[lo + order[k:]] = 0
-    # own index arrays: eliminate_zeros prunes in place
-    directed = sp.csr_matrix((keep, indices.copy(), indptr.copy()), shape=adj.shape)
-    directed.eliminate_zeros()
+        keep[lo + order[k:]] = False
+    kept_indptr = np.zeros_like(indptr)
+    # k beyond every row length may not fit the index dtype
+    np.cumsum(np.minimum(lengths, min(k, indices.size)), out=kept_indptr[1:])
+    kept = indices[keep]
+    directed = sp.csr_matrix(
+        (np.ones(kept.size, dtype=np.int64), kept, kept_indptr), shape=adj.shape
+    )
     sym = (directed + directed.T).tocsr()
     sym.data[:] = 1
     sym.sort_indices()

@@ -340,7 +340,11 @@ def impute(
 
     Returns the imputed feature set and a JSON-ready run report with the
     configuration echo, per-modality counts and diffusion diagnostics.
-    `counts_graph` lets sweeps reuse the co-interaction counts.
+    The graph methods build the co-interaction counts unless
+    `counts_graph` is given, and drop the graph they built once it is
+    sparsified to top-k, so it is not held through the hops. A graph
+    passed as `counts_graph` stays the caller's, unchanged, and lets
+    sweeps reuse the counts.
     `on_iteration(modality, hop, x)` runs after each multihop and
     personalized-PageRank hop; in a clamped run `x` is then the matrix
     this call would return with `hops` set to that hop.
@@ -361,6 +365,7 @@ def impute(
         counts = counts_graph if counts_graph is not None else cooccurrence(r)
         _check_graph(f, counts)
         g = topk_sparsify(counts, cfg.top_k)
+        del counts  # only the top-k graph is read from here; a caller's graph stays theirs
         cold = _cold_rows(f, g)
         for m in f.modalities:
             details[m]["cold_items"] = int(cold[m].sum())

@@ -45,6 +45,8 @@ _HEADER = struct.Struct("<8sQQ")
 # The least magnitude that rounds to float32 infinity: halfway between the
 # float32 maximum (2^128 - 2^104) and 2^128, where round-to-even goes up.
 _FLOAT32_LIMIT = 2.0**128 - 2.0**103
+# Payload bytes converted and written at a time by `_write_payload`.
+_WRITE_CHUNK_BYTES = 2**20
 
 
 def _read_records(path, what: str, known: dict[str, int] | None = None):
@@ -99,7 +101,13 @@ def _read_records(path, what: str, known: dict[str, int] | None = None):
 
 
 def read_interactions(path) -> InteractionMatrix:
-    """Load a user/item pair file, indexing ids by first appearance."""
+    """Load a user/item pair file, indexing ids by first appearance.
+
+    The ids kept are compact copies of the parsed ones: the split makes one
+    string per field, and the few that would survive it would keep most of
+    the parse's memory from being returned (see
+    `graph._index_by_first_appearance`).
+    """
     users, items = _read_records(path, "user_id<TAB>item_id")
     if not users:
         raise EmptyDataset(f"{path}: no interactions")
@@ -176,10 +184,17 @@ def _check_float32(path, matrix: np.ndarray):
 
 
 def _write_payload(path, matrix: np.ndarray):
-    """The header and the float32 payload of a checked 2-d matrix."""
+    """The header and the float32 payload of a checked 2-d matrix.
+
+    Rows are converted and written `_WRITE_CHUNK_BYTES` of payload at a
+    time, so a float64 matrix is never copied whole to float32.
+    """
+    n_rows, dim = matrix.shape
+    step = max(1, _WRITE_CHUNK_BYTES // (4 * max(dim, 1)))
     with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(FEATURE_MAGIC, *matrix.shape))
-        handle.write(np.ascontiguousarray(matrix, dtype="<f4"))
+        handle.write(_HEADER.pack(FEATURE_MAGIC, n_rows, dim))
+        for lo in range(0, n_rows, step):
+            handle.write(np.ascontiguousarray(matrix[lo:lo + step], dtype="<f4"))
 
 
 def read_mask(path, r: InteractionMatrix) -> dict[str, set[int]]:
@@ -229,7 +244,7 @@ def write_feature_set(directory, f: FeatureSet) -> dict[str, str]:
 
     Every matrix is checked before the directory or any file is created,
     so a refused matrix leaves nothing written. Payloads are converted
-    one modality at a time.
+    one modality, and within it one chunk of rows, at a time.
     """
     directory = Path(directory)
     names = {m: f"{m}.fmat" for m in f.modalities}

@@ -174,6 +174,12 @@ def test_topk_large_k_keeps_all():
     assert np.array_equal(s.adjacency.toarray(), (g.adjacency.toarray() > 0).astype(int))
 
 
+def test_topk_beyond_the_index_range_keeps_all():
+    g = counts_graph(3, [(0, 1, 1), (0, 2, 5), (1, 2, 2)])
+    for k in (2**31, 2**70):  # no int32 index holds them
+        assert graph_arrays(topk_sparsify(g, k)) == graph_arrays(topk_sparsify(g, 10))
+
+
 def test_topk_tie_breaks_to_lower_index():
     # row a ties b and c at 2; b/c/d prefer partners other than a, and d
     # prefers e, so the union does not reinsert a's dropped edges

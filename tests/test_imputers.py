@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from mmimpute import (
     topk_sparsify,
 )
 
+import mmimpute.imputers
 from mmimpute import graph
 from mmimpute.features import FALLBACKS
 from mmimpute.imputers import _ppr_fixed_point
@@ -594,6 +597,41 @@ def test_impute_hook_sees_each_depth(method):
             assert out.matrices[m][-1].any()  # the global-mean fallback
     for m in f.modalities:
         assert hooked.matrices[m].tobytes() == plain.matrices[m].tobytes()
+
+
+@pytest.mark.parametrize("method", ["multihop", "pers-pagerank"])
+def test_impute_frees_its_counts_graph_before_the_first_hop(method, monkeypatch):
+    # only topk_sparsify reads the counts graph: one that impute builds is
+    # gone by the first hop, and one the caller passes is theirs to reuse
+    rng = np.random.default_rng(8)
+    r = InteractionMatrix.from_pairs(
+        [(u, int(i)) for u in range(12) for i in rng.choice(16, 3, replace=False)], 12, 18
+    )
+    f = random_feature_set(rng, r.n_items, dim=3, missing=0.4)
+    cfg = ImputeConfig(method=method, top_k=2, hops=3)
+    built, alive = [], []
+
+    def recorded_cooccurrence(r):
+        counts = cooccurrence(r)
+        built.append(weakref.ref(counts))
+        return counts
+
+    def hook(m, t, x):
+        gc.collect()
+        alive.append(built[0]() is not None)
+
+    monkeypatch.setattr(mmimpute.imputers, "cooccurrence", recorded_cooccurrence)
+    own, _ = impute(f, r, cfg, on_iteration=hook)
+    assert len(built) == 1 and alive == [False] * cfg.hops
+    counts = cooccurrence(r)
+    arrays = [a.copy() for a in (counts.adjacency.indptr, counts.adjacency.indices,
+                                 counts.adjacency.data, counts.degrees)]
+    for _ in range(2):
+        shared, _ = impute(f, r, cfg, counts_graph=counts)
+        assert shared.matrices["m"].tobytes() == own.matrices["m"].tobytes()
+    after = (counts.adjacency.indptr, counts.adjacency.indices, counts.adjacency.data, counts.degrees)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(arrays, after))
+    assert len(built) == 1
 
 
 def test_impute_hook_restores_cold_placeholders():

@@ -1,5 +1,7 @@
+import inspect
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +14,12 @@ from mmimpute import (
     ParseError,
     UnknownItem,
     UnknownModality,
+    build_interaction_matrix,
 )
+from mmimpute import graph
 from mmimpute.graph import InteractionMatrix
 from mmimpute.io import (
+    _WRITE_CHUNK_BYTES,
     FEATURE_MAGIC,
     _HEADER,
     canonicalize_dataset,
@@ -321,6 +326,51 @@ def test_bulk_reader_matches_per_line_oracle(tmp_path):
         assert read_outcome(read_mask, path, r) == want, case
         kinds.add(want[0] if isinstance(want, tuple) else "ok mask")
     assert kinds == {"ok", "ok mask", ParseError, EmptyDataset, UnknownItem}
+
+
+def test_read_ids_are_compact_copies(tmp_path):
+    # the ids kept are copies made once they are de-duplicated, not strings
+    # of the bulk split, so the parse's strings all die with its lists
+    path = tmp_path / "data.tsv"
+    path.write_text(
+        "# ids\n" + "".join(f" {u}\t{i}\r\n" for u in IDS for i in reversed(IDS)), encoding="utf-8"
+    )
+    tracemalloc.start(1)
+    try:
+        r = read_interactions(path)
+        # one-character latin-1 strings are shared singletons, allocated by no one
+        frames = {tracemalloc.get_object_traceback(s)[0] for s in r.user_ids + r.item_ids if len(s) > 1}
+    finally:
+        tracemalloc.stop()
+    assert (r.user_ids, r.item_ids) == (tuple(IDS), tuple(reversed(IDS)))
+    assert read_outcome(read_interactions, path) == read_outcome(per_line_read_interactions, path)
+    source, first = inspect.getsourcelines(graph._compact_copy)
+    assert {(f.filename, first <= f.lineno < first + len(source)) for f in frames} == {
+        (graph.__file__, True)
+    }
+    # ids built in memory may hold any character, the separators of the file format too
+    users, items = ["u\t1", "u\n2", "#u3", "", "u\t1"], ["", "#", "a\tb\n", "#", "x y"]
+    r = build_interaction_matrix(zip(users, items))
+    assert r.user_ids == ("u\t1", "u\n2", "#u3", "")
+    assert r.item_ids == ("", "#", "a\tb\n", "x y")
+    assert r.matrix.toarray().tolist() == [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]]
+    assert build_interaction_matrix([(1, 2), (3, 2)]).user_ids == (1, 3)  # not strings: kept as given
+
+
+def test_feature_matrix_is_converted_a_chunk_at_a_time(tmp_path):
+    # a float64 matrix is never copied whole to float32 on write
+    path = tmp_path / "m.fmat"
+    matrix = np.random.default_rng(2).standard_normal((4001, 300))  # 4.8 MB as float32
+    tracemalloc.start()
+    try:
+        write_feature_matrix(path, matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * _WRITE_CHUNK_BYTES
+    assert path.read_bytes() == _HEADER.pack(FEATURE_MAGIC, 4001, 300) + matrix.astype("<f4").tobytes()
+    write_feature_matrix(path, np.zeros((3, 0)))
+    assert read_feature_matrix(path).shape == (3, 0)
 
 
 def test_feature_matrix_huge_header_fails_before_allocating(tmp_path):
