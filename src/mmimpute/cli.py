@@ -22,7 +22,7 @@ from .evaluate import (
     run_sweep,
     synth_generate,
 )
-from .features import FALLBACKS, ImputeConfig, METHODS, validate
+from .features import FALLBACKS, ImputeConfig, METHODS, check_modality_name, validate
 from .imputers import impute
 from .io import load_feature_set, read_interactions, write_dataset, write_feature_set
 
@@ -39,12 +39,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _split_named(parts: list[str], form: str) -> list[tuple[str, str]]:
-    """Split each "NAME=VALUE" part at its first '=', in order; names must differ."""
+    """Split each "NAME=VALUE" part at its first '=', in order.
+
+    Names must differ, and each must be a modality name that can be
+    written (`check_modality_name`).
+    """
     out: dict[str, str] = {}
     for part in parts:
         name, sep, value = part.partition("=")
         if not sep or not name or not value:
             raise InvalidParameter(f"expected {form}, got '{part}'")
+        check_modality_name(name)
         if name in out:
             raise InvalidParameter(f"modality '{name}' given twice")
         out[name] = value
@@ -123,7 +128,7 @@ def _check_writable_dir(path):
 
 def _load_dataset(args):
     r = read_interactions(args.interactions)
-    f = load_feature_set(parse_features(args.features), r, getattr(args, "mask", None))
+    f = load_feature_set(args.features, r, getattr(args, "mask", None))
     report = validate(f, r)
     if not report.ok:
         raise InconsistentData("; ".join(report.problems))
@@ -337,6 +342,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "features", None) is not None:  # before a command reads or writes
+            args.features = parse_features(args.features)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

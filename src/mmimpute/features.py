@@ -7,6 +7,7 @@ it; any other input is held as float64. Imputers compute in float64.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, asdict
 from typing import Mapping, Sequence
 
@@ -99,6 +100,18 @@ def check_row_count(f: FeatureSet, r: InteractionMatrix):
     if f.n_items != r.n_items:
         raise InconsistentData(
             f"feature matrices have {f.n_items} rows but the dataset has {r.n_items} items"
+        )
+
+
+def check_modality_name(name: str):
+    """Raise InvalidParameter unless `name` can name a file in an output directory.
+
+    Each modality is written to "<name>.fmat", so a name must be non-empty
+    and hold no path separator or NUL.
+    """
+    if not name or any(c and c in name for c in ("/", os.sep, os.altsep, "\0")):
+        raise InvalidParameter(
+            f"bad modality name {name!r}: it must be non-empty and hold no path separator or NUL"
         )
 
 

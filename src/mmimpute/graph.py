@@ -284,28 +284,19 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-_pool: ThreadPoolExecutor | None = None
-
-
+@functools.cache
 def _thread_pool() -> ThreadPoolExecutor:
     """The process-wide pool, started on first use.
 
     Two threads racing here may start a spare pool; it is never used again
     and its threads exit once it is collected.
     """
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(_usable_cores(), thread_name_prefix="mmimpute")
-    return _pool
-
-
-def _forget_pool():
-    global _pool
-    _pool = None  # a forked child has none of its parent's threads
+    return ThreadPoolExecutor(_usable_cores(), thread_name_prefix="mmimpute")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_thread_pool.cache_clear)
 
 
 def _block_count(matrix: sp.csr_matrix, n_cols: int) -> int:

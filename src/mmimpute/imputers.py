@@ -288,7 +288,10 @@ def _pers_pagerank(
         def step(x):
             # the fixed point couples every row; only `rows` are kept
             x[cold[m]] = 0.0  # x0 holds cold rows as placeholders, not a hook's fill
-            result, n_steps, residual = _ppr_fixed_point(a_sl, alpha, x, iter_tolerance)
+            try:
+                result, n_steps, residual = _ppr_fixed_point(a_sl, alpha, x, iter_tolerance)
+            except DivergentDiffusion as exc:
+                raise DivergentDiffusion(f"modality '{m}': {exc}") from None
             steps[m].append(n_steps)
             residuals[m].append(residual)
             return result[rows]

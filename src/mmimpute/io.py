@@ -37,7 +37,7 @@ from .errors import (
     UnknownItem,
     UnknownModality,
 )
-from .features import FeatureSet, check_row_count
+from .features import FeatureSet, check_modality_name, check_row_count
 from .graph import InteractionMatrix, first_appearance_order, interactions_from_ids
 
 FEATURE_MAGIC = b"FMATv1\x00\x00"
@@ -242,10 +242,14 @@ def load_feature_set(
 def write_feature_set(directory, f: FeatureSet) -> dict[str, str]:
     """Write one .fmat file per modality; returns the file names used.
 
-    Every matrix is checked before the directory or any file is created,
-    so a refused matrix leaves nothing written. Payloads are converted
-    one modality, and within it one chunk of rows, at a time.
+    Every modality name (`check_modality_name`), then every matrix, is
+    checked before the directory or any file is created, so a refused
+    name or matrix leaves nothing written, and no file lands outside
+    `directory`. Payloads are converted one modality, and within it one
+    chunk of rows, at a time.
     """
+    for m in f.modalities:
+        check_modality_name(m)
     directory = Path(directory)
     names = {m: f"{m}.fmat" for m in f.modalities}
     for m, name in names.items():

@@ -714,3 +714,44 @@ def test_only_operator_products_start_the_pool(tmp_path, monkeypatch, argv, star
     command, *flags = argv
     assert main([command, *tiny_dataset(tmp_path), *flags, "--out", str(tmp_path / "out")]) == 0
     assert bool(started) == starts_pool
+
+
+def test_parse_methods_rejects_an_empty_list():
+    with pytest.raises(InvalidParameter, match=r"^no methods given$"):
+        parse_methods(",")
+
+
+def test_synth_zero_dimension_is_usage_error(tmp_path, capsys):
+    code = main([*SMALL_SYNTH, "--dims", "text=0", "--out", str(tmp_path / "out")])  # the last --dims wins
+    assert code == 1
+    assert "modality 'text': dimension must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def tree(path):
+    return sorted(str(p.relative_to(path)) for p in path.rglob("*"))
+
+
+@pytest.mark.parametrize("name", ["../outside", "sub/dir", "nul\0byte"], ids=["parent", "subdir", "nul"])
+def test_modality_name_that_is_not_a_file_name_is_usage_error(tmp_path, capsys, name):
+    # each modality is written to "<name>.fmat" in --out: a separator would
+    # write outside it, and the flag is refused before anything is read,
+    # generated or created
+    args = tiny_dataset(tmp_path)[:4]  # no mask, which would name "text"
+    args[3] = f"{name}={tmp_path / 'text.fmat'}"
+    before = tree(tmp_path)
+    out = tmp_path / "mt2" / "out"
+    assert main(["impute", *args, "--method", "multihop", "--out", str(out)]) == 1
+    assert f"error: bad modality name {name!r}" in capsys.readouterr().err
+    assert main([*SMALL_SYNTH, "--dims", f"{name}=3,ok=2", "--out", str(out)]) == 1
+    assert f"error: bad modality name {name!r}" in capsys.readouterr().err
+    assert tree(tmp_path) == before
+
+
+def test_modality_name_is_checked_before_any_input_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.tsv")
+    for command in (["impute", "--method", "zeros", "--out", str(tmp_path / "out")], ["stats"]):
+        code = main([*command, "--interactions", missing, "--features", f"../x={missing}"])
+        assert code == 1, command
+        assert "bad modality name '../x'" in capsys.readouterr().err
+    assert tree(tmp_path) == []

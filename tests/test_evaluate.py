@@ -490,3 +490,20 @@ def test_run_sweep_names_the_first_failing_configuration():
     deep = dict(kwargs, hops_grid=[2])
     assert want[0] == "DivergentDiffusion"
     assert sweep_outcome(per_config_sweep, r, f, **deep)[1] != want[1]
+
+
+def test_reconstruction_metrics_refuses_mismatched_truth():
+    f = FeatureSet.create([("visual", np.ones((3, 2)))])
+    missing = HiddenRows({"text": np.array([0])}, {"text": np.ones((1, 2))})
+    with pytest.raises(InvalidParameter, match=r"^imputed features lack modality 'text'$"):
+        reconstruction_metrics(f, missing)
+    wrong_width = HiddenRows({"visual": np.array([0, 2])}, {"visual": np.ones((2, 3))})
+    with pytest.raises(InvalidParameter, match=r"^modality 'visual': hidden row shapes do not match$"):
+        reconstruction_metrics(f, wrong_width)
+
+
+def test_synth_generate_error_paths():
+    with pytest.raises(InvalidParameter, match=r"^at least one modality dimension is required$"):
+        synth_generate(3, 3, 1, 0.9, 0.1, [], 0.1, 0)
+    with pytest.raises(EmptyDataset, match=r"^no interactions were sampled"):
+        synth_generate(3, 3, 1, 1e-12, 0, [("text", 2)], 0.1, 0)

@@ -98,3 +98,10 @@ def test_impute_config_defaults():
     assert cfg.alpha == 0.85
     assert cfg.cold_fallback == "global-mean"
     assert cfg.clamp
+
+
+def test_feature_set_needs_distinct_modalities():
+    with pytest.raises(InvalidParameter, match=r"^at least one modality is required$"):
+        FeatureSet.create([])
+    with pytest.raises(InvalidParameter, match=r"^duplicate modality names$"):
+        FeatureSet.create([("text", np.ones((2, 1))), ("text", np.zeros((2, 1)))])

@@ -433,7 +433,7 @@ def test_concurrent_callers_share_the_pool(force_blocks, monkeypatch):
     xs = [np.random.default_rng(seed).standard_normal((200, 5)) for seed in range(8)]
     want = [[sp.csr_matrix.__matmul__(op, x).tobytes()] * 20 for x in xs]
     force_blocks(8)
-    monkeypatch.setattr(graph, "_pool", None)
+    graph._thread_pool.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -477,7 +477,7 @@ def test_forked_child_starts_its_own_pool(force_blocks):
     x = np.ones((30, 3))
     force_blocks(2)
     want = (op @ x).tobytes()
-    assert graph._pool is not None
+    assert graph._thread_pool.cache_info().currsize == 1
     ctx = multiprocessing.get_context("fork")
     child = ctx.Process(target=_exit_with_product, args=(op, x, want))
     with warnings.catch_warnings():
@@ -492,3 +492,27 @@ def test_forked_child_starts_its_own_pool(force_blocks):
 
 def _exit_with_product(op, x, want):
     os._exit(0 if (op @ x).tobytes() == want else 1)
+
+
+def test_interaction_matrix_ids_must_fit_the_matrix():
+    matrix = sp.csr_matrix(np.ones((2, 3), dtype=np.int64))
+    with pytest.raises(InvalidParameter, match=r"^id vocabularies do not match the matrix shape$"):
+        InteractionMatrix(matrix, ("u0", "u1"), ("i0", "i1"))
+    with pytest.raises(InvalidParameter, match=r"^duplicate item ids$"):
+        InteractionMatrix.from_pairs([(0, 0), (1, 1)], 2, 2, item_ids=("a", "a"))
+
+
+def test_operators_refuse_the_wrong_graph_kind():
+    binary = binary_graph(3, [(0, 1), (1, 2)])
+    counts = counts_graph(3, [(0, 1, 2), (1, 2, 1)])
+    with pytest.raises(InvalidParameter, match=r"^top-k sparsification expects a counts graph$"):
+        topk_sparsify(binary, 2)
+    with pytest.raises(InvalidParameter, match=r"^a binary \(sparsified\) item graph is required$"):
+        sym_norm_adjacency(counts)
+
+
+def test_ppr_exact_refuses_an_ill_conditioned_system():
+    # just above alpha 0.5 the two-item system is nearly singular: condition ~5e12
+    message = r"ill-conditioned at alpha=0\.5000000000001 \(condition ~5\.00e\+12\)"
+    with pytest.raises(SingularDiffusion, match=message):
+        ppr_exact(binary_graph(2, [(0, 1)]), 0.5 + 1e-13)

@@ -771,3 +771,24 @@ def test_ppr_rejects_non_finite_tolerance(tolerance):
     f = feature_set([[1.0], [0.0]], [False, True])
     with pytest.raises(InvalidParameter):
         impute_pers_pagerank(f, g, 0.85, 1, iter_tolerance=tolerance)
+
+
+def test_multihop_refuses_a_ppr_operator():
+    g = binary_graph(3, [(0, 1), (1, 2)])
+    f = feature_set(np.ones((3, 2)), [False, True, False])
+    with pytest.raises(InvalidParameter, match=r"^multihop requires a sym-laplacian operator$"):
+        impute_multihop(f, ppr_iterative(g, 0.85), 2)
+
+
+def test_ppr_divergence_names_its_modality():
+    # only the second modality has masked rows; alpha 0.5 diverges on a
+    # two-item component
+    g = binary_graph(2, [(0, 1)])
+    f = FeatureSet.create(
+        [("text", np.ones((2, 1))), ("visual", np.array([[1.0], [0.0]]))],
+        {"text": np.zeros(2, dtype=bool), "visual": np.array([False, True])},
+    )
+    with pytest.raises(
+        DivergentDiffusion, match=r"^modality 'visual': personalized-PageRank fixed point did not reach"
+    ):
+        impute_pers_pagerank(f, g, 0.5, 1)

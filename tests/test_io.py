@@ -11,6 +11,7 @@ from mmimpute import (
     FeatureSet,
     FormatError,
     InconsistentData,
+    InvalidParameter,
     ParseError,
     UnknownItem,
     UnknownModality,
@@ -402,3 +403,28 @@ def test_feature_matrix_pipe_is_format_error(tmp_path):
             read_feature_matrix(path)
     finally:
         os.close(fd)
+
+
+@pytest.mark.parametrize("name", ["", "../outside", "sub/dir", "nul\0byte"])
+def test_write_feature_set_refuses_a_name_that_is_not_a_file_name(tmp_path, name):
+    # the name is checked before the values: this matrix would be refused too
+    f = FeatureSet.create([("ok", np.zeros((2, 1))), (name, np.full((2, 1), np.inf))])
+    with pytest.raises(InvalidParameter, match=r"^bad modality name .*: it must be non-empty"):
+        write_feature_set(tmp_path / "out", f)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_feature_matrix_refuses_a_1d_array(tmp_path):
+    with pytest.raises(FormatError, match=r"^feature matrix must be 2-d$"):
+        write_feature_matrix(tmp_path / "v.fmat", np.zeros(3))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_canonicalize_dataset_without_features_reorders_the_items():
+    # item "b" appears first in the entry stream but has index 1
+    r = InteractionMatrix.from_pairs([(0, 1), (1, 0)], 2, 2, item_ids=("a", "b"))
+    canonical, features = canonicalize_dataset(r)
+    assert features is None
+    assert canonical.item_ids == ("b", "a")
+    assert canonical.user_ids == r.user_ids
+    assert canonical.matrix.toarray().tolist() == [[1, 0], [0, 1]]
