@@ -180,9 +180,12 @@ class ImputeConfig:
 class ValidationReport:
     """Outcome of consistency checks between features and interactions."""
 
-    ok: bool
     missing: dict[str, int]
     problems: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.problems
 
 
 def _format_indices(idx: np.ndarray, limit: int = 5) -> str:
@@ -215,4 +218,4 @@ def validate(f: FeatureSet, r: InteractionMatrix) -> ValidationReport:
             problems.append(
                 f"modality '{m}': masked rows are not zero placeholders: {_format_indices(bad_zero)}"
             )
-    return ValidationReport(ok=not problems, missing=f.missing_counts(), problems=problems)
+    return ValidationReport(missing=f.missing_counts(), problems=problems)

@@ -17,7 +17,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvecs  # the kernel `csr_matrix @` runs
+
+try:  # the kernel `csr_matrix @` runs; private, so a scipy release may move it
+    from scipy.sparse._sparsetools import csr_matvecs
+except ImportError:  # products then run unsplit, as `csr_matrix @`
+    csr_matvecs = None
 
 from .errors import (
     EmptyDataset,
@@ -87,13 +91,6 @@ class InteractionMatrix:
     @property
     def n_interactions(self) -> int:
         return int(self.matrix.nnz)
-
-    def iter_entries(self):
-        """Yield (user_index, item_index) pairs in row-major order."""
-        indptr, indices = self.matrix.indptr, self.matrix.indices
-        for u in range(self.n_users):
-            for i in indices[indptr[u]:indptr[u + 1]]:
-                yield u, int(i)
 
     def select(self, users: np.ndarray, items: np.ndarray) -> "InteractionMatrix":
         """Rows `users` and columns `items` of the matrix, in that order, with their ids."""
@@ -204,26 +201,20 @@ class ItemGraph:
     """Symmetric item-item graph with a zero diagonal.
 
     kind "counts": weights are shared-user counts (integers >= 1).
-    kind "binary": all stored weights are 1. `degrees[i]` is the number of
-    stored off-diagonal neighbors of item i.
+    kind "binary": all stored weights are 1.
     """
 
     adjacency: sp.csr_matrix
     kind: str
-    degrees: np.ndarray
 
     @property
     def n_items(self) -> int:
         return self.adjacency.shape[0]
 
-    def neighbors(self, i: int) -> np.ndarray:
-        """Neighbor indices of item i, ascending."""
-        a = self.adjacency
-        return a.indices[a.indptr[i]:a.indptr[i + 1]]
-
-
-def _row_nnz(matrix: sp.csr_matrix) -> np.ndarray:
-    return np.diff(matrix.indptr).astype(np.int64)
+    @property
+    def degrees(self) -> np.ndarray:
+        """Stored off-diagonal neighbors of each item, as int64."""
+        return np.diff(self.adjacency.indptr).astype(np.int64)
 
 
 def cooccurrence(r: InteractionMatrix) -> ItemGraph:
@@ -240,7 +231,7 @@ def cooccurrence(r: InteractionMatrix) -> ItemGraph:
     counts.setdiag(0)
     counts.eliminate_zeros()
     counts.sort_indices()
-    return ItemGraph(counts, KIND_COUNTS, _row_nnz(counts))
+    return ItemGraph(counts, KIND_COUNTS)
 
 
 def topk_sparsify(g: ItemGraph, k: int) -> ItemGraph:
@@ -273,7 +264,7 @@ def topk_sparsify(g: ItemGraph, k: int) -> ItemGraph:
     sym = (directed + directed.T).tocsr()
     sym.data[:] = 1
     sym.sort_indices()
-    return ItemGraph(sym, KIND_BINARY, _row_nnz(sym))
+    return ItemGraph(sym, KIND_BINARY)
 
 
 @functools.cache
@@ -340,7 +331,8 @@ class RowBlockedCSR(sp.csr_matrix):
     each block runs scipy's own kernel (`csr_matvecs`, which `csr_matrix @`
     runs) over its rows, writing them in place. Each output row is summed
     in the order `csr_matrix @` sums it, so the product has the same bits
-    at any block count. A product of one block, and a product with any
+    at any block count. Without that kernel (a scipy that moved it), every
+    product is one block. A product of one block, and a product with any
     other operand (1-D, one column, which scipy sends to another kernel,
     another dtype or layout), is `csr_matrix.__matmul__` itself. Row
     slices keep the type.
@@ -353,7 +345,7 @@ class RowBlockedCSR(sp.csr_matrix):
             and x.flags.c_contiguous
         ):
             return super().__matmul__(x)
-        n_blocks = _block_count(self, x.shape[1])
+        n_blocks = _block_count(self, x.shape[1]) if csr_matvecs else 1
         if n_blocks == 1:
             return super().__matmul__(x)
         # contiguous row blocks holding about equal stored entries
@@ -391,9 +383,7 @@ class NormalizedOperator:
     as a one-thread product.
     """
 
-    base: ItemGraph
     mode: str
-    alpha: float | None
     matrix: RowBlockedCSR | np.ndarray
 
 
@@ -432,7 +422,7 @@ def _degree_scaled(g: ItemGraph, with_self_loops: bool) -> RowBlockedCSR:
 def sym_norm_adjacency(g: ItemGraph) -> NormalizedOperator:
     """Symmetric degree normalization of a binary item graph."""
     _require_binary(g)
-    return NormalizedOperator(g, MODE_SYM, None, _degree_scaled(g, with_self_loops=False))
+    return NormalizedOperator(MODE_SYM, _degree_scaled(g, with_self_loops=False))
 
 
 def ppr_iterative(g: ItemGraph, alpha: float) -> NormalizedOperator:
@@ -444,22 +434,22 @@ def ppr_iterative(g: ItemGraph, alpha: float) -> NormalizedOperator:
     """
     check_alpha(alpha)
     _require_binary(g)
-    return NormalizedOperator(g, MODE_PPR_ITERATIVE, alpha, _degree_scaled(g, with_self_loops=True))
+    return NormalizedOperator(MODE_PPR_ITERATIVE, _degree_scaled(g, with_self_loops=True))
 
 
-def ppr_exact(g: ItemGraph, alpha: float, cap: int = PPR_EXACT_CAP) -> NormalizedOperator:
+def ppr_exact(g: ItemGraph, alpha: float) -> NormalizedOperator:
     """Dense personalized-PageRank diffusion operator alpha * B^-1.
 
     B = I - (1 - alpha) * A_sl, solved directly; isolated items reduce to
-    identity rows. A reference for small graphs, refused beyond `cap`
-    items; imputation realizes the same operator as a fixed point over
-    `ppr_iterative`.
+    identity rows. A reference for small graphs, refused beyond
+    `PPR_EXACT_CAP` items; imputation realizes the same operator as a
+    fixed point over `ppr_iterative`.
     """
     check_alpha(alpha)
     _require_binary(g)
     n = g.n_items
-    if n > cap:
-        raise GraphTooLarge(f"{n} items exceeds the dense diffusion cap of {cap}")
+    if n > PPR_EXACT_CAP:
+        raise GraphTooLarge(f"{n} items exceeds the dense diffusion cap of {PPR_EXACT_CAP}")
     b = np.eye(n) - (1.0 - alpha) * _degree_scaled(g, with_self_loops=True).toarray()
     try:
         diffusion = np.linalg.solve(b, alpha * np.eye(n))
@@ -472,4 +462,4 @@ def ppr_exact(g: ItemGraph, alpha: float, cap: int = PPR_EXACT_CAP) -> Normalize
             raise SingularDiffusion(
                 f"diffusion system is ill-conditioned at alpha={alpha} (condition ~{cond:.2e})"
             )
-    return NormalizedOperator(g, MODE_PPR_EXACT, alpha, diffusion)
+    return NormalizedOperator(MODE_PPR_EXACT, diffusion)

@@ -83,10 +83,10 @@ def _cold_rows(f: FeatureSet, g: ItemGraph) -> dict[str, np.ndarray]:
     return {m: isolated & f.masks[m] for m in f.modalities}
 
 
-def _check_graph(f: FeatureSet, g: ItemGraph):
-    if g.n_items != f.n_items:
+def _check_graph(f: FeatureSet, n_items: int):
+    if n_items != f.n_items:
         raise InconsistentData(
-            f"item graph has {g.n_items} items but features have {f.n_items} rows"
+            f"item graph has {n_items} items but features have {f.n_items} rows"
         )
 
 
@@ -132,7 +132,7 @@ def impute_neigh_mean(
     neighbors use the configured fallback.
     """
     check_cold_fallback(fallback)
-    _check_graph(f, g)
+    _check_graph(f, g.n_items)
     cold = _cold_rows(f, g)
     fill = _fallback_rows(f, cold, fallback)
 
@@ -201,7 +201,7 @@ def impute_multihop(
     """
     if op.mode != MODE_SYM:
         raise InvalidParameter("multihop requires a sym-laplacian operator")
-    _check_graph(f, op.base)
+    _check_graph(f, op.matrix.shape[0])
     s = op.matrix
 
     def row_step(m, rows):
@@ -278,7 +278,7 @@ def _pers_pagerank(
     on_iteration: IterationHook | None = None,
 ) -> tuple[FeatureSet, dict[str, dict]]:
     check_iter_tolerance(iter_tolerance)
-    _check_graph(f, g)
+    _check_graph(f, g.n_items)
     a_sl = ppr_iterative(g, alpha).matrix
     cold = _cold_rows(f, g)
     steps: dict[str, list[int]] = {m: [] for m in f.modalities}
@@ -366,7 +366,7 @@ def impute(
         out = impute_global_mean(f)
     else:
         counts = counts_graph if counts_graph is not None else cooccurrence(r)
-        _check_graph(f, counts)
+        _check_graph(f, counts.n_items)
         g = topk_sparsify(counts, cfg.top_k)
         del counts  # only the top-k graph is read from here; a caller's graph stays theirs
         cold = _cold_rows(f, g)

@@ -26,6 +26,20 @@ from mmimpute.graph import ItemGraph, KIND_BINARY, KIND_COUNTS
 from mmimpute.imputers import FIXED_POINT_STEP_CAP
 
 
+def entries(r):
+    """Yield the (user_index, item_index) pairs of `r` in row-major order."""
+    indptr, indices = r.matrix.indptr, r.matrix.indices
+    for u in range(r.n_users):
+        for i in indices[indptr[u]:indptr[u + 1]]:
+            yield u, int(i)
+
+
+def neighbors(g, i):
+    """Neighbor indices of item i of graph `g`, ascending."""
+    a = g.adjacency
+    return a.indices[a.indptr[i]:a.indptr[i + 1]]
+
+
 def binary_graph(n, edges):
     """Symmetric binary ItemGraph from undirected (i, j) pairs."""
     rows = [i for i, j in edges] + [j for i, j in edges]
@@ -35,7 +49,7 @@ def binary_graph(n, edges):
     ).tocsr()
     a.data[:] = 1
     a.sort_indices()
-    return ItemGraph(a, KIND_BINARY, np.diff(a.indptr).astype(np.int64))
+    return ItemGraph(a, KIND_BINARY)
 
 
 def counts_graph(n, weighted_edges):
@@ -47,7 +61,7 @@ def counts_graph(n, weighted_edges):
         data += [c, c]
     a = sp.coo_matrix((np.asarray(data, dtype=np.int64), (rows, cols)), shape=(n, n)).tocsr()
     a.sort_indices()
-    return ItemGraph(a, KIND_COUNTS, np.diff(a.indptr).astype(np.int64))
+    return ItemGraph(a, KIND_COUNTS)
 
 
 def random_connected_graph(rng, n):
@@ -99,7 +113,7 @@ def brute_force_cooccurrence(r):
     """Pairwise user-set intersections; the independent counts oracle."""
     n = r.n_items
     users_of = [set() for _ in range(n)]
-    for u, i in r.iter_entries():
+    for u, i in entries(r):
         users_of[i].add(u)
     counts = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
@@ -148,7 +162,7 @@ def row_list_topk_sparsify(g, k):
     n = g.n_items
     if not sel_rows:
         empty = sp.csr_matrix((n, n), dtype=np.int64)
-        return ItemGraph(empty, KIND_BINARY, np.zeros(n, dtype=np.int64))
+        return ItemGraph(empty, KIND_BINARY)
     rows = np.concatenate(sel_rows)
     cols = np.concatenate(sel_cols)
     directed = sp.coo_matrix(
@@ -157,7 +171,7 @@ def row_list_topk_sparsify(g, k):
     sym = (directed + directed.T).tocsr()
     sym.data[:] = 1
     sym.sort_indices()
-    return ItemGraph(sym, KIND_BINARY, np.diff(sym.indptr).astype(np.int64))
+    return ItemGraph(sym, KIND_BINARY)
 
 
 def naive_neigh_mean(matrix, mask, graph, fallback_row):
@@ -188,7 +202,7 @@ def permute_graph(g, perm):
         (coo.data, (perm[coo.row], perm[coo.col])), shape=coo.shape
     ).tocsr()
     a.sort_indices()
-    return ItemGraph(a, g.kind, np.diff(a.indptr).astype(np.int64))
+    return ItemGraph(a, g.kind)
 
 
 def permute_feature_set(f, perm):
@@ -415,7 +429,7 @@ def unique_canonicalize(r, f):
 
 def entry_lines(r):
     """Interaction-file text written one entry at a time."""
-    return "".join(f"{r.user_ids[u]}\t{r.item_ids[i]}\n" for u, i in r.iter_entries())
+    return "".join(f"{r.user_ids[u]}\t{r.item_ids[i]}\n" for u, i in entries(r))
 
 
 def per_config_sweep(

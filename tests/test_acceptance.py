@@ -41,8 +41,10 @@ from helpers import (
     binary_graph,
     brute_force_cooccurrence,
     dense_ppr_propagate,
+    entries,
     feature_set,
     naive_neigh_mean,
+    neighbors,
     permute_feature_set,
     permute_graph,
     random_connected_graph,
@@ -158,7 +160,7 @@ def test_drop_arithmetic_identity():
         except Exception:
             continue
         assert after.n_items == before.n_items - int(mask.sum())
-        dropped_pairs = sum(1 for _, i in r.iter_entries() if mask[i])
+        dropped_pairs = sum(1 for _, i in entries(r) if mask[i])
         assert after.n_interactions == before.n_interactions - dropped_pairs
     # documented example: the Office catalog drops its 674 text-missing
     # items, 2420 -> 1746 (full run needs the external dataset)
@@ -205,7 +207,7 @@ def test_noise_free_exact_reconstruction():
             continue
         hidden.append(int(i))
         blocked[i] = True
-        blocked[g.neighbors(i)] = True
+        blocked[neighbors(g, i)] = True
         if len(hidden) >= 80:
             break
     assert len(hidden) >= 30

@@ -443,6 +443,17 @@ def test_unwritable_output_is_data_error(tmp_path, capsys, monkeypatch, command,
     assert "Traceback" not in err
 
 
+def test_unwritable_existing_directory_is_data_error(tmp_path, capsys, monkeypatch):
+    # the suite may run as root, for whom `os.access` never refuses
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: False)
+    argv, _ = unwritable_argv(tmp_path, "impute", "file")
+    out = tmp_path / "new"
+    assert main([*argv[:-1], str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {out}: cannot write: Permission denied\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -714,6 +725,58 @@ def test_only_operator_products_start_the_pool(tmp_path, monkeypatch, argv, star
     command, *flags = argv
     assert main([command, *tiny_dataset(tmp_path), *flags, "--out", str(tmp_path / "out")]) == 0
     assert bool(started) == starts_pool
+
+
+def output_bytes(out):
+    """Each output file's bytes, `report.json` without its `timing` block."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "report.json":
+            report = json.loads(path.read_text())
+            report.pop("timing")
+            files[path.name] = json.dumps(report, sort_keys=True)
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_commands_run_without_scipys_private_kernel(tmp_path, monkeypatch):
+    # a scipy release may move `csr_matvecs`; products then run unsplit,
+    # with the same bits as the split products of a normal run. The kernel
+    # is hidden only while the package imports: scipy's own `@` reads it too
+    commands = [["drop"], ["impute", "--method", "multihop", "--hops", "3"]]
+    dataset = tiny_dataset(tmp_path)
+
+    def argvs(root):
+        return [[*command, *dataset, "--out", str(root / command[0])] for command in commands]
+
+    # every product of two or more entries would be split here
+    split = "graph.MIN_BLOCK_WORK = 1; graph._usable_cores = lambda: 4"
+    monkeypatch.setattr(mmimpute.graph, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(mmimpute.graph, "_usable_cores", lambda: 4)
+    for argv in argvs(tmp_path / "normal"):
+        assert main(argv) == 0
+    code = (
+        "import json, sys, scipy.sparse._sparsetools as kernels; "
+        "kernel = kernels.csr_matvecs; del kernels.csr_matvecs; "
+        "from mmimpute import graph; from mmimpute.cli import main; "
+        f"kernels.csr_matvecs = kernel; {split}; "
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+        "print(graph.csr_matvecs, codes, graph._thread_pool.cache_info().currsize)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs(tmp_path / "guarded"))],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # no kernel, both commands exit 0, no pool started
+    assert proc.stdout.splitlines()[-1] == "None [0, 0] 0"
+    for command in commands:
+        name = command[0]
+        assert output_bytes(tmp_path / "guarded" / name) == output_bytes(tmp_path / "normal" / name)
 
 
 def test_parse_methods_rejects_an_empty_list():

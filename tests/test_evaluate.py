@@ -23,6 +23,7 @@ from mmimpute.graph import InteractionMatrix, cooccurrence, ppr_iterative, topk_
 from mmimpute.io import canonicalize_dataset, write_interactions
 
 from helpers import (
+    entries,
     entry_lines,
     feature_set,
     lexsort_drop_reindex,
@@ -110,7 +111,7 @@ def test_drop_missing_counts_and_orphans():
         except EmptyDataset:
             continue
         assert after.n_items == before.n_items - int(mask.sum())
-        dropped_pairs = sum(1 for _, i in r.iter_entries() if mask[i])
+        dropped_pairs = sum(1 for _, i in entries(r) if mask[i])
         assert after.n_interactions == before.n_interactions - dropped_pairs
         assert (np.diff(r2.matrix.indptr) > 0).all()  # no orphaned users
 
@@ -327,7 +328,7 @@ def test_synth_block_structure():
     r, f = synth_generate(40, 20, 2, 0.5, 0.0, [("m", 4)], 0.1, seed=1)
     community_u = np.arange(40) % 2
     community_i = np.arange(20) % 2
-    for u, i in r.iter_entries():
+    for u, i in entries(r):
         assert community_u[u] == community_i[i]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mmimpute import (
     FeatureSet,
     ImputeConfig,
     InvalidParameter,
+    ValidationReport,
     build_interaction_matrix,
     validate,
 )
@@ -54,6 +57,12 @@ def test_validate_flags_nonfinite_observed():
     report = validate(f, r)
     assert not report.ok
     assert any("non-finite" in p for p in report.problems)
+
+
+def test_validation_report_ok_is_no_problems():
+    assert [f.name for f in dataclasses.fields(ValidationReport)] == ["missing", "problems"]
+    assert ValidationReport(missing={}, problems=[]).ok
+    assert not ValidationReport(missing={}, problems=["x"]).ok
 
 
 def test_feature_set_dims_may_differ():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -15,6 +16,8 @@ from mmimpute import (
     GraphTooLarge,
     ImputeConfig,
     InvalidParameter,
+    ItemGraph,
+    NormalizedOperator,
     SingularDiffusion,
     build_interaction_matrix,
     cooccurrence,
@@ -33,6 +36,7 @@ from helpers import (
     brute_force_cooccurrence,
     coo_filter_cooccurrence,
     counts_graph,
+    neighbors,
     random_connected_graph,
     random_feature_set,
     random_interactions,
@@ -165,7 +169,7 @@ def test_topk_keeps_strongest():
     g = counts_graph(5, [(0, 1, 3), (0, 2, 1), (0, 3, 2), (1, 2, 9), (2, 3, 9), (1, 3, 9)])
     s = topk_sparsify(g, 2)
     assert s.kind == KIND_BINARY
-    assert sorted(s.neighbors(0)) == [1, 3]
+    assert sorted(neighbors(s, 0)) == [1, 3]
 
 
 def test_topk_large_k_keeps_all():
@@ -187,7 +191,7 @@ def test_topk_tie_breaks_to_lower_index():
         5, [(0, 1, 2), (0, 2, 2), (0, 3, 1), (1, 2, 3), (3, 4, 5)]
     )
     s = topk_sparsify(g, 1)
-    assert list(s.neighbors(0)) == [1]
+    assert list(neighbors(s, 0)) == [1]
     edges = {(i, j) for i, j in zip(*s.adjacency.nonzero()) if i < j}
     assert edges == {(0, 1), (1, 2), (3, 4)}
 
@@ -256,6 +260,18 @@ def test_topk_empty_graph():
     assert np.array_equal(s.degrees, [0, 0])
 
 
+def test_degrees_are_the_adjacency_row_counts():
+    a = binary_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)]).adjacency
+    degrees = ItemGraph(a, KIND_BINARY).degrees
+    assert degrees.dtype == np.int64
+    assert np.array_equal(degrees, np.diff(a.indptr)) and degrees.tolist() == [3, 1, 1, 2, 1]
+
+
+def test_graph_types_store_only_what_cannot_be_derived():
+    assert [f.name for f in dataclasses.fields(ItemGraph)] == ["adjacency", "kind"]
+    assert [f.name for f in dataclasses.fields(NormalizedOperator)] == ["mode", "matrix"]
+
+
 def test_sym_norm_single_edge():
     op = sym_norm_adjacency(binary_graph(2, [(0, 1)]))
     assert op.matrix[0, 1] == 1.0
@@ -307,10 +323,11 @@ def test_ppr_exact_consistency():
         assert np.max(np.abs(op.matrix @ b - alpha * np.eye(n))) < 1e-8
 
 
-def test_ppr_exact_cap():
+def test_ppr_exact_cap(monkeypatch):
     g = binary_graph(3, [(0, 1), (1, 2)])
+    monkeypatch.setattr(graph, "PPR_EXACT_CAP", 2)
     with pytest.raises(GraphTooLarge):
-        ppr_exact(g, 0.9, cap=2)
+        ppr_exact(g, 0.9)
 
 
 def test_ppr_alpha_validation():

@@ -765,6 +765,13 @@ def test_impute_rejects_counts_graph_of_another_size(method):
         impute(f, r, ImputeConfig(method=method), counts_graph=cooccurrence(r4))
 
 
+def test_multihop_rejects_an_operator_of_another_size():
+    f = feature_set([[1.0], [0.0], [2.0]], [False, True, False])
+    op = sym_norm_adjacency(binary_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    with pytest.raises(InconsistentData, match="item graph has 4 items but features have 3 rows"):
+        impute_multihop(f, op, 1)
+
+
 @pytest.mark.parametrize("tolerance", [float("inf"), float("nan")])
 def test_ppr_rejects_non_finite_tolerance(tolerance):
     g = binary_graph(2, [(0, 1)])

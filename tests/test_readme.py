@@ -1,4 +1,4 @@
-"""The command lines in README.md must work as written."""
+"""The command lines and Python examples in README.md must work as written."""
 
 import shlex
 from pathlib import Path
@@ -31,3 +31,18 @@ def test_every_readme_command_parses():
     assert {argv[0] for argv in argvs} == {"synth", "stats", "evaluate", "impute", "drop"}
     for argv in argvs:
         assert callable(build_parser().parse_args(argv).func)
+
+
+def python_blocks():
+    """The code of each ```python block, in order."""
+    parts = README.read_text(encoding="utf-8").split("```")
+    return [code.removeprefix("python\n") for code in parts[1::2] if code.startswith("python\n")]
+
+
+def test_python_examples_run():
+    # the blocks run in order in one namespace, as a reader would paste them
+    blocks = python_blocks()
+    assert blocks
+    namespace = {}
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), namespace)
