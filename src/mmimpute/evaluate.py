@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EmptyDataset, InvalidParameter, MmImputeError
 from .features import ALPHA_METHODS, FeatureSet, GRAPH_METHODS, ImputeConfig, check_row_count, check_seed
 from .graph import InteractionMatrix, ItemGraph, cooccurrence, first_appearance_order
-from .imputers import impute
+from .imputers import _ppr_solves, impute
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,10 @@ def _modality_metrics(m: str, got: np.ndarray, want: np.ndarray) -> ModalityMetr
     return ModalityMetrics(rmse, mean_cosine, len(got), excluded)
 
 
+# Edge uniforms `synth_generate` draws at once (8 bytes each), in whole user rows.
+SYNTH_BLOCK_ENTRIES = 2**18
+
+
 def check_synth_params(
     n_users: int,
     n_items: int,
@@ -216,17 +220,24 @@ def synth_generate(
     sampled with probability p_in inside a community and p_out across.
     Item features are the community centroid (standard normal per
     modality) plus gaussian noise. The draw order is fixed: edge uniforms
-    first, then per modality centroids and noise, so a seed pins the
-    whole dataset.
+    first, one per (user, item) in row-major order, then per modality
+    centroids and noise, so a seed pins the whole dataset. The uniforms
+    are drawn `SYNTH_BLOCK_ENTRIES` at a time in whole user rows, which
+    takes the same values from the stream as one users x items draw.
     """
     check_synth_params(n_users, n_items, n_communities, p_in, p_out, dims, noise_sigma, seed)
     rng = np.random.default_rng(seed)
     community_u = np.arange(n_users) % n_communities
     community_i = np.arange(n_items) % n_communities
-    same = community_u[:, None] == community_i[None, :]
-    prob = np.where(same, p_in, p_out)
-    edges = rng.random((n_users, n_items)) < prob
-    rows, cols = np.nonzero(edges)
+    block = max(1, SYNTH_BLOCK_ENTRIES // n_items)
+    rows, cols = [], []
+    for lo in range(0, n_users, block):
+        users = community_u[lo:lo + block]
+        prob = np.where(users[:, None] == community_i[None, :], p_in, p_out)
+        block_rows, block_cols = np.nonzero(rng.random(prob.shape) < prob)
+        rows.append(block_rows + lo)
+        cols.append(block_cols)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     if rows.size == 0:
         raise EmptyDataset("no interactions were sampled; raise p_in/p_out or the sizes")
     r = InteractionMatrix.from_pairs(np.column_stack((rows, cols)), n_users, n_items)
@@ -261,9 +272,10 @@ def _score_configs(
 
     out, report = impute(masked, r, deepest, counts_graph=counts, on_iteration=score)
     scores[deepest.hops] = reconstruction_metrics(out, hidden).as_dict()
-    return [  # the per-hop lists of the deep run, cut to each configuration's hops
+    return [  # the per-solve lists of the deep run, cut to the solves of each configuration
         ({m: scores[cfg.hops][m] for m in hidden.indices},
-         {m: {key: v[:cfg.hops] if isinstance(v, list) else v for key, v in d.items()}
+         {m: {key: _ppr_solves(masked, m, cfg.hops, cfg.clamp, v) if isinstance(v, list) else v
+              for key, v in d.items()}
           for m, d in report["modalities"].items()})
         for cfg in cfgs
     ]

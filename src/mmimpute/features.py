@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, asdict
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -176,12 +177,20 @@ class ImputeConfig:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of consistency checks between features and interactions."""
+    """Outcome of consistency checks between features and interactions.
 
-    missing: dict[str, int]
-    problems: list[str]
+    Immutable: `missing` is held as a read-only mapping and `problems`
+    as a tuple, whatever the constructor is given.
+    """
+
+    missing: Mapping[str, int]
+    problems: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "missing", MappingProxyType(dict(self.missing)))
+        object.__setattr__(self, "problems", tuple(self.problems))
 
     @property
     def ok(self) -> bool:

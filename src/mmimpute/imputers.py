@@ -10,8 +10,11 @@ contribute nothing to a neighborhood average. The graph-aware
 strategies consume structures from `graph`. Because observed rows never
 change under clamping, the graph methods compute only masked rows:
 neighbor means and clamped hops multiply the operator's masked rows,
-never the whole matrix. `_fallback_rows` computes the row given to items
-no hop reaches (zeros or the observed mean) once per call, before any hop.
+never the whole matrix. A clamped hop after the first is affine in the
+masked rows, x_M <- K x_M + b, so multihop and personalized PageRank
+compute it from the operator's masked block K and the first hop's
+result b. `_fallback_rows` computes the row given to items no hop
+reaches (zeros or the observed mean) once per call, before any hop.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .graph import (
     InteractionMatrix,
     ItemGraph,
     NormalizedOperator,
+    RowBlockedCSR,
     _block_count,
     _run_blocks,
     cooccurrence,
@@ -48,10 +52,20 @@ from .graph import (
 # raise DivergentDiffusion.
 FIXED_POINT_STEP_CAP = 500
 
+# Columns of x_M a multihop hop after the first multiplies at a time, so
+# that it holds b and a narrow block rather than all of x_M and K x_M.
+MULTIHOP_COLUMNS = 32
+
+# Terms of each entry a dense masked-block product sums per matrix product.
+# OpenBLAS splits a product of this many terms (a power of two, no larger
+# than its K block) over threads without reordering any entry's sum, but
+# not every longer one.
+DENSE_TERMS = 256
+
 IterationHook = Callable[[str, int, np.ndarray], None]
-# (modality, rows) -> step mapping the current matrix to its `rows` after
-# one hop; `rows` is the masked row indices, or slice(None) for every row
-RowStep = Callable[[str, np.ndarray | slice], Callable[[np.ndarray], np.ndarray]]
+# (modality, rows) -> step writing one hop's `rows` into the current
+# matrix; `rows` is the masked row indices, or slice(None) for every row
+RowStep = Callable[[str, np.ndarray | slice], Callable[[np.ndarray], None]]
 
 
 def _cleared(f: FeatureSet, matrices: dict[str, np.ndarray]) -> FeatureSet:
@@ -141,7 +155,11 @@ def impute_neigh_mean(
         # row in ascending neighbor order, a left fold that is part of
         # the determinism contract
         a_rows, deg = g.adjacency[rows], np.maximum(g.degrees[rows], 1)[:, None]
-        return lambda x: (a_rows @ x) / deg
+
+        def step(x):
+            x[rows] = (a_rows @ x) / deg
+
+        return step
 
     out = _propagate(f, 1, row_step, clamp=True, on_iteration=None)
     for m, x in out.items():
@@ -158,14 +176,15 @@ def _propagate(
 ) -> dict[str, np.ndarray]:
     """Shared hop loop that computes only the rows each hop must produce.
 
-    Every hop is `x[rows] = step(x)`. With `clamp` on, observed rows never
+    Every hop is `step(x)`, which writes `x[rows]`. With `clamp` on, observed rows never
     change, so `rows` is the masked rows; with `clamp` off, `rows` is
     `slice(None)`, each hop recomputes every row, and the observed rows
     are restored after the last hop. `row_step(m, rows)` builds the step
     once per modality, so an operator is sliced to `rows` once, not once
-    per hop. A modality with no masked rows is copied through with no hops
-    and no `on_iteration` calls. The hook sees the whole matrix, which
-    later hops update in place.
+    per hop, and the step is dropped, with whatever it holds, before the
+    next modality's working copy is made. A modality with no masked rows
+    is copied through with no hops and no `on_iteration` calls. The hook
+    sees the whole matrix, which later hops update in place.
     """
     check_hops(hops)
     out = {}
@@ -176,13 +195,58 @@ def _propagate(
             rows = np.flatnonzero(mask) if clamp else slice(None)
             step = row_step(m, rows)
             for t in range(1, hops + 1):
-                x[rows] = step(x)
+                step(x)
                 if on_iteration is not None:
                     on_iteration(m, t, x)
+            del step
             if not clamp:  # unclamped hops moved them; outputs keep the inputs
                 x[~mask] = f.matrices[m][~mask]
         out[m] = x
     return out
+
+
+def _masked_block_hops(
+    first_hop: Callable[[np.ndarray], None],
+    block: Callable[[], Callable[[np.ndarray], np.ndarray]],
+    rows: np.ndarray,
+    cold: np.ndarray | None = None,
+    width: int | None = None,
+) -> Callable[[np.ndarray], None]:
+    """The clamped step `x_M <- K x_M + b` on the masked rows `rows`.
+
+    Clamped diffusion is affine on the masked block: a hop maps the
+    masked rows x_M to K x_M + b, with K the operator's block on the
+    masked rows and columns and b what the pinned observed rows add,
+    which no hop changes. Hop 1 is `first_hop(x)`, run on the zero
+    placeholders, so the masked rows it writes are b. `block()` builds K,
+    as the function `x_M -> K x_M`, when hop 2 first needs it, so a
+    one-hop run never pays for it. `cold`, a flag per masked row, marks rows no hop reaches; they enter
+    the product as zeros, whatever a hook left in them. With `width`, a
+    hop runs over that many columns at a time, writing each block of
+    columns before it gathers the next, so it holds only b and one block
+    besides x; a K whose product sums each column on its own, as a CSR
+    product does, gives the same bits at any width.
+    """
+    b = k = None
+
+    def step(x):
+        nonlocal b, k
+        if b is None:
+            first_hop(x)
+            b = x[rows]
+            return
+        if k is None:
+            k = block()
+        n_cols = width or b.shape[1]
+        for lo in range(0, b.shape[1], n_cols):
+            x_m = x[rows, lo:lo + n_cols]
+            if cold is not None:
+                x_m[cold] = 0.0
+            y = k(x_m)
+            y += b[:, lo:lo + n_cols]
+            x[rows, lo:lo + n_cols] = y
+
+    return step
 
 
 def impute_multihop(
@@ -197,7 +261,8 @@ def impute_multihop(
     Missing rows start from zero and observed rows stay pinned to their
     original values (unless `clamp` is disabled), so information always
     flows outward from observed items. Clamped hops compute only the
-    masked rows, with the operator sliced to them once per modality.
+    masked rows M: hop 1 is S[M] @ x, and every later hop K x_M + b, with
+    K = S[M][:, M] and b hop 1's result.
     """
     if op.mode != MODE_SYM:
         raise InvalidParameter("multihop requires a sym-laplacian operator")
@@ -206,7 +271,18 @@ def impute_multihop(
 
     def row_step(m, rows):
         s_rows = s[rows]
-        return lambda x: s_rows @ x
+
+        def hop(x):
+            x[rows] = s_rows @ x
+
+        if not clamp:
+            return hop
+
+        def block():
+            k = s_rows[:, rows]  # stays sparse, a slice of the operator like s_rows
+            return lambda x_m: k @ x_m
+
+        return _masked_block_hops(hop, block, rows, width=MULTIHOP_COLUMNS)
 
     out = _propagate(f, hops, row_step, clamp, on_iteration)
     return _cleared(f, out)
@@ -214,8 +290,8 @@ def impute_multihop(
 
 def _relax_rows(
     x_next: np.ndarray, x: np.ndarray, target: np.ndarray, keep: float, lo: int, hi: int
-) -> float:
-    """Turn rows lo:hi of `x_next = A_sl @ x` into the next iterate; their largest change.
+) -> np.ndarray:
+    """Turn rows lo:hi of `x_next = A_sl @ x` into the next iterate; each column's largest change.
 
     The change is measured in place in the rows of `x`, the iterate the
     step leaves dead.
@@ -224,7 +300,43 @@ def _relax_rows(
     new *= keep
     new += target[lo:hi]
     np.subtract(new, old, out=old)
-    return float(np.abs(old, out=old).max()) if old.size else 0.0
+    return np.abs(old, out=old).max(axis=0, initial=0.0)
+
+
+def _ppr_solver(a_sl, alpha: float, x0: np.ndarray):
+    """(first iterate, step) of the fixed point x = alpha * x0 + (1 - alpha) * A_sl @ x.
+
+    `step(x)` returns the next iterate and the largest change of each of
+    its columns. A step is one product `a_sl @ x`, the only array it
+    allocates, which `RowBlockedCSR` splits over the usable cores. The
+    product is then scaled and shifted in place, and the change is
+    measured in the dead previous iterate; this pass runs over as many
+    row blocks as the product, on the same pool. Only `target`, the
+    iterate and the product are alive at once. Each column's largest
+    change over the blocks is exact, so iterates and changes have the same
+    bits at any core count, and a column's bits do not depend on the
+    other columns of `x0`.
+    """
+    target = alpha * x0
+    # as many blocks as the product, but each row costs this pass the same
+    n_blocks = _block_count(a_sl, x0.shape[1])
+    blocks = np.linspace(0, x0.shape[0], n_blocks + 1).astype(np.int64).tolist()
+
+    def step(x):
+        x_next = a_sl @ x
+        changes = _run_blocks(_relax_rows, blocks, x_next, x, target, 1.0 - alpha)
+        # np.maximum, not max: a NaN change must stall the iteration
+        return x_next, changes[0] if n_blocks == 1 else np.maximum.reduce(changes)
+
+    return x0.astype(np.float64), step
+
+
+def _divergence(bound: float, tolerance: float, alpha: float, residual: float):
+    return DivergentDiffusion(
+        f"personalized-PageRank fixed point did not reach residual {bound:.3e} "
+        f"({tolerance} relative to max |x0|) within {FIXED_POINT_STEP_CAP} steps "
+        f"at alpha={alpha} (last residual {residual:.3e})"
+    )
 
 
 def _ppr_fixed_point(
@@ -237,66 +349,136 @@ def _ppr_fixed_point(
     relative: iteration stops once the largest change of a step is at
     most `tolerance * max|x0|`, so the outcome does not depend on the
     scale of the features, and an all-zero `x0` stops after one step.
-
-    A step is one product `a_sl @ x`, the only array it allocates, which
-    `RowBlockedCSR` splits over the usable cores. The product is then
-    scaled and shifted in place, and the change is measured in the dead
-    previous iterate; this pass runs over as many row blocks as the
-    product, on the same pool. Only `target`, `x` and the product are
-    alive at once. The largest change over the blocks is exact, so the
-    iterate, step count and residual have the same bits at any core count.
+    Steps are those of `_ppr_solver`.
     """
     bound = tolerance * (float(np.max(np.abs(x0))) if x0.size else 0.0)
-    target = alpha * x0
-    x = x0.astype(np.float64)
-    # as many blocks as the product, but each row costs this pass the same
-    n_blocks = _block_count(a_sl, x.shape[1])
-    blocks = np.linspace(0, x.shape[0], n_blocks + 1).astype(np.int64).tolist()
+    x, step = _ppr_solver(a_sl, alpha, x0)
     residual = 0.0
-    for step in range(1, FIXED_POINT_STEP_CAP + 1):
-        x_next = a_sl @ x
-        changes = _run_blocks(_relax_rows, blocks, x_next, x, target, 1.0 - alpha)
-        # np.max, not max: a NaN change must stall the iteration
-        residual = changes[0] if n_blocks == 1 else float(np.max(changes))
-        x = x_next
+    for n_steps in range(1, FIXED_POINT_STEP_CAP + 1):
+        x, changes = step(x)
+        residual = float(changes.max(initial=0.0))
         if residual <= bound:
-            return x, step, residual
-    raise DivergentDiffusion(
-        f"personalized-PageRank fixed point did not reach residual {bound:.3e} "
-        f"({tolerance} relative to max |x0|) within {FIXED_POINT_STEP_CAP} steps "
-        f"at alpha={alpha} (last residual {residual:.3e})"
-    )
+            return x, n_steps, residual
+    raise _divergence(bound, tolerance, alpha, residual)
+
+
+def _ppr_unit_columns(
+    a_sl, alpha: float, rows: np.ndarray, items: np.ndarray, tolerance: float
+) -> tuple[np.ndarray, int, float]:
+    """Rows `rows` of the columns `items` of alpha * B^-1, one output column per item.
+
+    Column j is the fixed point of `_ppr_fixed_point` with x0 the unit
+    column e_j, and each column keeps its iterate from its own first step
+    whose change is at most `tolerance` (max|e_j| is 1). The chunk is
+    never compacted: its columns all step until the last one stops, so a
+    column's bits do not depend on which others share its chunk. Returns
+    the columns, the steps taken and the largest change of a kept column.
+    """
+    x0 = np.zeros((a_sl.shape[0], items.size))
+    x0[items, np.arange(items.size)] = 1.0
+    x, step = _ppr_solver(a_sl, alpha, x0)
+    del x0
+    kept = np.empty((rows.size, items.size))
+    pending = np.ones(items.size, dtype=bool)
+    residual = 0.0
+    for n_steps in range(1, FIXED_POINT_STEP_CAP + 1):
+        x, changes = step(x)
+        done = np.flatnonzero(pending & (changes <= tolerance))
+        if done.size:
+            kept[:, done] = x[np.ix_(rows, done)]
+            residual = max(residual, float(changes[done].max()))
+            pending[done] = False
+            if not pending.any():
+                return kept, n_steps, residual
+    raise _divergence(tolerance, tolerance, alpha, float(changes[pending].max()))
+
+
+def _dense_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`p @ x`, each entry summed `DENSE_TERMS` terms at a time, in ascending order.
+
+    One product over all terms gets different bits from OpenBLAS on one
+    thread and on two at some lengths (674 and 977 among them); these
+    partial products do not.
+    """
+    y = p[:, :DENSE_TERMS] @ x[:DENSE_TERMS]
+    for lo in range(DENSE_TERMS, p.shape[1], DENSE_TERMS):
+        y += p[:, lo:lo + DENSE_TERMS] @ x[lo:lo + DENSE_TERMS]
+    return y
+
+
+def _masked_block_fits(n_items: int, n_masked: int, dim: int) -> bool:
+    """Whether a modality's clamped PPR hops after the first run on the dense block P.
+
+    P holds |M|^2 floats; past 4 n d, above the hop solve's own working
+    set, every hop solves over the whole matrix instead. The rule reads
+    no hop count, so a hop's bits never depend on how many follow it.
+    """
+    return n_masked * n_masked <= 4 * n_items * dim
+
+
+def _ppr_solves(f: FeatureSet, m: str, hops: int, clamp: bool, solves: list) -> list:
+    """The entries of a deeper run's per-solve list `solves` that a run of `hops` makes.
+
+    A run whose hops after the first use the masked block makes hop 1's
+    solve, then, from hop 2 on, every unit-column solve; any other run
+    makes one solve per hop.
+    """
+    if clamp and _masked_block_fits(f.n_items, int(f.masks[m].sum()), f.dim(m)):
+        return solves[:1] if hops == 1 else solves
+    return solves[:hops]
 
 
 def _pers_pagerank(
     f: FeatureSet,
-    g: ItemGraph,
+    a_sl: RowBlockedCSR,
+    cold: dict[str, np.ndarray],
     alpha: float,
     hops: int,
     iter_tolerance: float,
-    clamp: bool = True,
-    on_iteration: IterationHook | None = None,
+    clamp: bool,
+    on_iteration: IterationHook | None,
 ) -> tuple[FeatureSet, dict[str, dict]]:
-    check_iter_tolerance(iter_tolerance)
-    _check_graph(f, g.n_items)
-    a_sl = ppr_iterative(g, alpha).matrix
-    cold = _cold_rows(f, g)
+    """`impute_pers_pagerank` over the operator `a_sl` of `ppr_iterative`.
+
+    `cold` holds `_cold_rows`. Returns the imputed set and, per modality,
+    the steps and residual of each solve, in the order they ran.
+    """
     steps: dict[str, list[int]] = {m: [] for m in f.modalities}
     residuals: dict[str, list[float]] = {m: [] for m in f.modalities}
 
+    def solved(m, solve, *args):
+        try:
+            x, n_steps, residual = solve(*args)
+        except DivergentDiffusion as exc:
+            raise DivergentDiffusion(f"modality '{m}': {exc}") from None
+        steps[m].append(n_steps)
+        residuals[m].append(residual)
+        return x
+
     def row_step(m, rows):
-        def step(x):
+        def hop(x):
             # the fixed point couples every row; only `rows` are kept
             x[cold[m]] = 0.0  # x0 holds cold rows as placeholders, not a hook's fill
-            try:
-                result, n_steps, residual = _ppr_fixed_point(a_sl, alpha, x, iter_tolerance)
-            except DivergentDiffusion as exc:
-                raise DivergentDiffusion(f"modality '{m}': {exc}") from None
-            steps[m].append(n_steps)
-            residuals[m].append(residual)
-            return result[rows]
+            x[rows] = solved(m, _ppr_fixed_point, a_sl, alpha, x, iter_tolerance)[rows]
 
-        return step
+        if not (clamp and _masked_block_fits(f.n_items, rows.size, f.dim(m))):
+            return hop
+        cold_rows = cold[m][rows]
+
+        def block():
+            # P's cold columns stay zero. A row of P @ x_M sums |M| terms,
+            # so each unit column is solved to iter_tolerance / |M|
+            p = np.zeros((rows.size, rows.size))
+            warm = np.flatnonzero(~cold_rows)
+            width = max(1, f.dim(m) // 4)  # a chunk's solve holds a quarter of a hop solve's arrays
+            n_chunks = -(-warm.size // width)
+            for cols in np.array_split(warm, n_chunks) if n_chunks else []:
+                p[:, cols] = solved(
+                    m, _ppr_unit_columns, a_sl, alpha, rows, rows[cols], iter_tolerance / rows.size
+                )
+            return lambda x_m: _dense_product(p, x_m)
+
+        return _masked_block_hops(hop, block, rows, cold_rows)
 
     out = _propagate(f, hops, row_step, clamp, on_iteration)
     stats = {
@@ -319,15 +501,24 @@ def impute_pers_pagerank(
 
     Each application of alpha * B^-1 is realized as the fixed point of
     x = alpha * x0 + (1 - alpha) * A_sl @ x over the self-loop normalized
-    adjacency, so no dense matrix is formed; it matches the dense operator
+    adjacency, so no n x n matrix is formed; it matches the dense operator
     wherever the series converges. Observed rows stay pinned between
-    applications, so clamped hops keep only the masked rows of each
-    application. A modality with nothing masked is returned unchanged
-    without solving anything.
+    applications, so clamped hops keep only the masked rows M. Hop 1 is
+    one solve over the whole matrix, whose masked rows are b; every later
+    hop is x_M <- P x_M + b with the dense P = [alpha * B^-1]_{M,M}. P's
+    column for a masked item with neighbors is one fixed-point solve from
+    its unit column, stopped at its own first step within
+    `iter_tolerance / |M|`; these solves run when hop 2 first needs P, in
+    chunks of at most d/4 columns. A modality whose P would hold more than
+    4 n d floats, and every unclamped run, solves over the whole matrix at
+    every hop instead. A modality with nothing masked is returned
+    unchanged without solving anything.
     """
+    check_iter_tolerance(iter_tolerance)
+    _check_graph(f, g.n_items)
+    a_sl = ppr_iterative(g, alpha).matrix
     out, _ = _pers_pagerank(
-        f, g, alpha, hops,
-        iter_tolerance=iter_tolerance, clamp=clamp, on_iteration=on_iteration,
+        f, a_sl, _cold_rows(f, g), alpha, hops, iter_tolerance, clamp, on_iteration
     )
     return out
 
@@ -345,9 +536,10 @@ def impute(
     configuration echo, per-modality counts and diffusion diagnostics.
     The graph methods build the co-interaction counts unless
     `counts_graph` is given, and drop the graph they built once it is
-    sparsified to top-k, so it is not held through the hops. A graph
-    passed as `counts_graph` stays the caller's, unchanged, and lets
-    sweeps reuse the counts.
+    sparsified to top-k, so it is not held through the hops; multihop and
+    personalized PageRank drop the top-k graph too once their operator is
+    built. A graph passed as `counts_graph` stays the caller's, unchanged,
+    and lets sweeps reuse the counts.
     `on_iteration(modality, hop, x)` runs after each multihop and
     personalized-PageRank hop; in a clamped run `x` is then the matrix
     this call would return with `hops` set to that hop.
@@ -382,13 +574,16 @@ def impute(
                 if on_iteration is not None:
                     on_iteration(m, t, x)
 
+            # the hops read only the operator, so the graph goes before the first
             if method == "multihop":
                 op = sym_norm_adjacency(g)
+                del g
                 out = impute_multihop(f, op, cfg.hops, clamp=cfg.clamp, on_iteration=hook)
             else:
+                a_sl = ppr_iterative(g, cfg.alpha).matrix
+                del g
                 out, stats = _pers_pagerank(
-                    f, g, cfg.alpha, cfg.hops,
-                    iter_tolerance=cfg.iter_tolerance, clamp=cfg.clamp, on_iteration=hook,
+                    f, a_sl, cold, cfg.alpha, cfg.hops, cfg.iter_tolerance, cfg.clamp, hook
                 )
                 for m in f.modalities:
                     details[m].update(stats[m])

@@ -241,6 +241,71 @@ def full_matrix_propagate(f, hops, apply_op, clamp):
     return out
 
 
+def masked_block_propagate(f, hops, first_hop, block_product):
+    """Clamped hops as `x_M <- K x_M + b` on the masked rows M.
+
+    Hop 1 is `first_hop(m, x)` over the whole matrix with zero
+    placeholders in M; its masked rows are b. Every later hop is
+    `block_product(m, x_M) + b`. The reference the clamped kernels of
+    multihop and personalized PageRank must match bit for bit.
+    """
+    out = {}
+    for m in f.modalities:
+        mask = f.masks[m]
+        x = f.matrices[m].astype(np.float64)
+        x[mask] = 0.0
+        b = first_hop(m, x.copy())[mask]
+        x_m = b
+        for _ in range(hops - 1):
+            x_m = block_product(m, x_m) + b
+        x[mask] = x_m
+        out[m] = x
+    return out
+
+
+def entrywise_product(k):
+    """`k @ x` for a dense `k`, each row summed over its nonzero columns in ascending order.
+
+    The order a CSR product sums in, one term at a time.
+    """
+    def product(x):
+        y = np.zeros((k.shape[0], x.shape[1]))
+        for i in range(k.shape[0]):
+            for j in np.flatnonzero(k[i]):
+                y[i] += k[i, j] * x[j]
+        return y
+
+    return product
+
+
+def term_chunked_product(p, x, terms):
+    """`p @ x` as a left-to-right sum of products over `terms` terms at a time."""
+    chunks = [p[:, lo:lo + terms] @ x[lo:lo + terms] for lo in range(0, p.shape[1], terms)]
+    y = chunks[0]
+    for chunk in chunks[1:]:
+        y = y + chunk
+    return y
+
+
+def unit_column_ppr_block(a_sl, alpha, mask, tolerance):
+    """[alpha * B^-1] on the masked rows and columns, one column at a time.
+
+    Column j is `expression_fixed_point` from the unit column e_j, alone,
+    stopped at its own tolerance; the columns of items without neighbors
+    stay zero.
+    """
+    items = np.flatnonzero(mask)
+    n = a_sl.shape[0]
+    degrees = np.diff(a_sl.indptr)
+    block = np.zeros((items.size, items.size))
+    for c, j in enumerate(items):
+        if degrees[j]:
+            e = np.zeros((n, 1))
+            e[j] = 1.0
+            block[:, c] = expression_fixed_point(a_sl, alpha, e, tolerance)[0][items, 0]
+    return block
+
+
 def dense_ppr_propagate(f, g, alpha, hops, clamp=True):
     """Personalized-PageRank propagation with the dense alpha * B^-1.
 

@@ -818,3 +818,81 @@ def test_modality_name_is_checked_before_any_input_is_read(tmp_path, capsys):
         assert code == 1, command
         assert "bad modality name '../x'" in capsys.readouterr().err
     assert tree(tmp_path) == []
+
+
+# CPU time, in clock ticks, of every thread but the calling one, after
+# `p @ x` ran for half a second with p of shape (m, k) and x of (k, d)
+OTHER_THREADS_CPU = """
+import os, sys, threading, time
+import numpy as np
+m, k, d = map(int, sys.argv[1:])
+p, x = np.random.default_rng(0).random((m, k)), np.random.default_rng(1).random((k, d))
+caller = str(threading.get_native_id())
+
+def others():
+    ticks = 0
+    for tid in os.listdir("/proc/self/task"):
+        if tid != caller:
+            with open(f"/proc/self/task/{tid}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+            ticks += int(fields[11]) + int(fields[12])
+    return ticks
+
+time.sleep(0.5)  # BLAS workers idle since start-up
+before = others()
+end = time.perf_counter() + 0.5
+while time.perf_counter() < end:
+    p @ x
+print(others() - before)
+"""
+
+# The float64 results and reports of clamped multihop and pers-pagerank
+# on a seeded dataset: 450 of 1,000 items masked, d=128
+IMPUTE_DIGESTS = """
+import hashlib, json
+import numpy as np
+from mmimpute import FeatureSet, ImputeConfig, InteractionMatrix, impute
+rng = np.random.default_rng(17)
+n, masked, dim = 1000, 450, 128
+pairs = [(u, i) for u in range(3000) for i in rng.choice(n, 6, replace=False).tolist()]
+r = InteractionMatrix.from_pairs(pairs, 3000, n)
+mask = np.zeros(n, dtype=bool)
+mask[rng.choice(n, masked, replace=False)] = True
+x = np.where(mask[:, None], 0.0, rng.standard_normal((n, dim)))
+f = FeatureSet.create([("text", x)], {"text": mask})
+for method in ("multihop", "pers-pagerank"):
+    out, report = impute(f, r, ImputeConfig(method=method))
+    report.pop("timing")
+    print(method, hashlib.sha256(out.matrices["text"].tobytes()).hexdigest(), json.dumps(report))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads per-thread CPU time from /proc")
+def test_same_bits_on_one_core_and_one_blas_thread():
+    # The dense block product of clamped pers-pagerank, 450 x 450 by
+    # 450 x 128, runs as products of 256 terms that OpenBLAS splits over
+    # threads, and the hop products are split into row blocks. A run
+    # pinned to one core with one BLAS thread must give the same float64
+    # results; float32 outputs would hide a last-bit difference
+    cores = sorted(os.sched_getaffinity(0))
+    if len(cores) < 2:
+        pytest.skip("needs two usable cores to compare against one")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+
+    def run(code, *args, env=env, pin=False):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+            timeout=120, preexec_fn=(lambda: os.sched_setaffinity(0, cores[:1])) if pin else None,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert int(run(OTHER_THREADS_CPU, "450", "256", "128")) > 0  # BLAS used another thread
+    one = dict(env, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    pinned = run(IMPUTE_DIGESTS, env=one, pin=True)
+    assert pinned == run(IMPUTE_DIGESTS)
+    # hop 1's solve, then 450 unit columns in 15 chunks of at most d/4 = 32
+    report = json.loads(pinned.splitlines()[1].split(" ", 2)[2])
+    assert len(report["modalities"]["text"]["fixed_point_steps"]) == 1 + 15

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mmimpute import (
     run_sweep,
     synth_generate,
 )
+from mmimpute import evaluate
 from mmimpute.graph import InteractionMatrix, cooccurrence, ppr_iterative, topk_sparsify
 from mmimpute.io import canonicalize_dataset, write_interactions
 
@@ -330,6 +332,35 @@ def test_synth_block_structure():
     community_i = np.arange(20) % 2
     for u, i in entries(r):
         assert community_u[u] == community_i[i]
+
+
+def synth_bytes(*args):
+    r, f = synth_generate(*args)
+    m = r.matrix
+    return [m.indptr.tobytes(), m.indices.tobytes(), *(f.matrices[k].tobytes() for k in f.modalities)]
+
+
+@pytest.mark.parametrize("entries", [1, 37, 171 * 3, 10**9])
+def test_synth_does_not_depend_on_the_draw_block(monkeypatch, entries):
+    # one user row per block, a few rows with a remainder, and one draw
+    args = (301, 171, 7, 0.3, 0.02, [("x", 3), ("y", 5)], 0.2, 9)
+    monkeypatch.setattr(evaluate, "SYNTH_BLOCK_ENTRIES", 10**9)
+    whole = synth_bytes(*args)
+    monkeypatch.setattr(evaluate, "SYNTH_BLOCK_ENTRIES", entries)
+    assert synth_bytes(*args) == whole
+
+
+def test_synth_memory_stays_below_the_dense_draw():
+    # the users x items uniforms alone would take 24 MB
+    n_users, n_items = 3000, 1000
+    tracemalloc.start()
+    try:
+        r, _ = synth_generate(n_users, n_items, 4, 0.01, 0.001, [("m", 2)], 0.1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.n_interactions > 5000
+    assert peak <= 8 * 2**20 < 8 * n_users * n_items
 
 
 def test_synth_zero_noise_shares_centroids():

@@ -65,6 +65,25 @@ def test_validation_report_ok_is_no_problems():
     assert not ValidationReport(missing={}, problems=["x"]).ok
 
 
+def test_validation_report_is_immutable():
+    # neither a field nor its contents can change after construction, so
+    # `ok` cannot either
+    problems, missing = ["x"], {"text": 1}
+    report = ValidationReport(missing=missing, problems=problems)
+    problems.clear()
+    missing["text"] = 2
+    assert report.problems == ("x",) and report.missing == {"text": 1} and not report.ok
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.problems = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.missing = {}
+    with pytest.raises(AttributeError):
+        report.problems.append("y")
+    with pytest.raises(TypeError):
+        report.missing["text"] = 0
+    assert report.problems == ("x",) and report.missing == {"text": 1}
+
+
 def test_feature_set_dims_may_differ():
     f = FeatureSet.create([("a", np.zeros((4, 3))), ("b", np.zeros((4, 7)))])
     assert f.dim("a") == 3

@@ -33,18 +33,22 @@ from mmimpute import (
 import mmimpute.imputers
 from mmimpute import graph
 from mmimpute.features import FALLBACKS
-from mmimpute.imputers import _ppr_fixed_point
+from mmimpute.imputers import _ppr_fixed_point, _ppr_unit_columns
 
 from helpers import (
     binary_graph,
     dense_ppr_propagate,
+    entrywise_product,
     expression_fixed_point,
     feature_set,
     full_matrix_propagate,
+    masked_block_propagate,
     naive_neigh_mean,
     random_connected_graph,
     random_feature_set,
     random_interactions,
+    term_chunked_product,
+    unit_column_ppr_block,
 )
 
 
@@ -325,12 +329,17 @@ def test_ppr_fixed_point_matches_expression_oracle():
     assert got[0] == "diverged"
 
 
-def test_masked_row_kernel_matches_full_matrix_loop():
+def check_masked_row_kernel(terms):
+    """Hop 1 is one product or solve over the whole matrix; later clamped
+    hops are K x_M + b, except PPR hops whose dense |M| x |M| block would
+    pass 4 n d floats. PPR's dense product sums `terms` terms at a time."""
     rng = np.random.default_rng(2111)
+    paths = set()
     for case in range(50):
         n = int(rng.integers(2, 25))
         g = random_connected_graph(rng, n)
-        feats = rng.standard_normal((n, int(rng.integers(1, 6))))
+        dim = int(rng.integers(1, 6))
+        feats = rng.standard_normal((n, dim))
         mask = np.zeros(n, dtype=bool)
         if case % 3 == 0:  # exactly one masked row
             mask[int(rng.integers(0, n))] = True
@@ -344,17 +353,62 @@ def test_masked_row_kernel_matches_full_matrix_loop():
         alpha = 0.85
         s = sym_norm_adjacency(g).matrix
         a_sl = ppr_iterative(g, alpha).matrix
+
+        def ppr_hop(m, x):
+            return expression_fixed_point(a_sl, alpha, x, 1e-8)[0]
+
+        k_multihop = entrywise_product(s.toarray()[np.ix_(mask, mask)])
+        p = unit_column_ppr_block(a_sl, alpha, mask, 1e-8 / mask.sum())
+        blocked = mask.sum() ** 2 <= 4 * n * dim
+        paths.add(blocked)
         runs = [
             (lambda: impute_multihop(f, sym_norm_adjacency(g), hops),
-             lambda m, t, x: s @ x, True),
+             lambda: masked_block_propagate(f, hops, lambda m, x: s @ x, lambda m, x: k_multihop(x))),
             (lambda: impute_multihop(f, sym_norm_adjacency(g), hops, clamp=False),
-             lambda m, t, x: s @ x, False),
+             lambda: full_matrix_propagate(f, hops, lambda m, t, x: s @ x, False)),
             (lambda: impute_pers_pagerank(f, g, alpha, hops),
-             lambda m, t, x: expression_fixed_point(a_sl, alpha, x, 1e-8)[0], True),
+             lambda: masked_block_propagate(
+                 f, hops, ppr_hop, lambda m, x: term_chunked_product(p, x, terms)
+             ) if blocked
+             else full_matrix_propagate(f, hops, lambda m, t, x: ppr_hop(m, x), True)),
         ]
-        for k, (run, apply_op, clamp) in enumerate(runs):
-            expected = full_matrix_propagate(f, hops, apply_op, clamp)["m"]
-            assert run().matrices["m"].tobytes() == expected.tobytes(), (case, k)
+        for k, (run, oracle) in enumerate(runs):
+            assert run().matrices["m"].tobytes() == oracle()["m"].tobytes(), (case, k)
+    assert paths == {True, False}
+
+
+def test_masked_row_kernel_matches_full_matrix_loop():
+    check_masked_row_kernel(mmimpute.imputers.DENSE_TERMS)
+
+
+def test_masked_row_kernel_in_narrow_blocks(monkeypatch):
+    # multihop's later hops 2 columns at a time, PPR's dense product 4
+    # terms at a time: the same bits as the oracles over the whole block
+    monkeypatch.setattr(mmimpute.imputers, "MULTIHOP_COLUMNS", 2)
+    monkeypatch.setattr(mmimpute.imputers, "DENSE_TERMS", 4)
+    check_masked_row_kernel(4)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_unit_columns_do_not_depend_on_their_chunk(monkeypatch, workers):
+    # a column of the masked block has the same bits solved alone, in a
+    # chunk, or in that chunk reversed, though the columns stop at
+    # different steps and the whole chunk steps until its slowest stops
+    monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(graph, "_usable_cores", lambda: workers)
+    rng = np.random.default_rng(31)
+    n = 60
+    a_sl = ppr_iterative(random_connected_graph(rng, n), 0.85).matrix
+    rows = np.sort(rng.choice(n, 12, replace=False))
+    items = rows[[0, 3, 4, 7, 11]]
+    alone = [_ppr_unit_columns(a_sl, 0.85, rows, items[[k]], 1e-9) for k in range(items.size)]
+    chunk, steps, residual = _ppr_unit_columns(a_sl, 0.85, rows, items, 1e-9)
+    reverse, _, _ = _ppr_unit_columns(a_sl, 0.85, rows, items[::-1], 1e-9)
+    assert len({s for _, s, _ in alone}) > 1
+    assert steps == max(s for _, s, _ in alone)
+    assert residual == max(r for _, _, r in alone) <= 1e-9
+    for k, (column, _, _) in enumerate(alone):
+        assert chunk[:, k].tobytes() == column[:, 0].tobytes() == reverse[:, -1 - k].tobytes()
 
 
 def test_fully_observed_modality_is_copied_through():
@@ -384,7 +438,9 @@ def test_fully_observed_modality_is_copied_through():
     r = build_interaction_matrix([(f"u{i}", f"i{i + d}") for i in range(n - 1) for d in (0, 1)])
     cfg = ImputeConfig(method="pers-pagerank", hops=3)
     _, report = impute(f, r, cfg)
-    assert len(report["modalities"]["text"]["fixed_point_steps"]) == 3
+    # hop 1's solve, then one unit-column solve per masked text row (d=3
+    # gives chunks of one column); every item has a neighbor
+    assert len(report["modalities"]["text"]["fixed_point_steps"]) == 1 + masked.masks["text"].sum()
     assert report["modalities"]["visual"]["fixed_point_steps"] == []
     assert report["modalities"]["visual"]["fixed_point_residuals"] == []
 
@@ -538,13 +594,17 @@ def test_dispatch_cold_fallback_applies_to_diffusion():
 
 
 def test_dispatch_iterative_reports_steps():
+    # one entry per solve. Clamped: hop 1's solve, then, from hop 2 on, the
+    # unit-column solve of each modality's one masked row. Unclamped: one
+    # solve per hop
     r, f = two_modality_dataset()
-    cfg = ImputeConfig(method="pers-pagerank", hops=3)
-    _, report = impute(f, r, cfg)
-    for m in f.modalities:
-        steps = report["modalities"][m]["fixed_point_steps"]
-        assert len(steps) == 3
-        assert all(s >= 1 for s in steps)
+    for hops, clamp, solves in ((3, True, 2), (2, True, 2), (1, True, 1), (3, False, 3)):
+        cfg = ImputeConfig(method="pers-pagerank", hops=hops, clamp=clamp)
+        _, report = impute(f, r, cfg)
+        for m in f.modalities:
+            steps = report["modalities"][m]["fixed_point_steps"]
+            assert len(steps) == solves, (hops, clamp)
+            assert all(s >= 1 for s in steps)
 
 
 def test_modality_independence():
@@ -601,8 +661,9 @@ def test_impute_hook_sees_each_depth(method):
 
 @pytest.mark.parametrize("method", ["multihop", "pers-pagerank"])
 def test_impute_frees_its_counts_graph_before_the_first_hop(method, monkeypatch):
-    # only topk_sparsify reads the counts graph: one that impute builds is
-    # gone by the first hop, and one the caller passes is theirs to reuse
+    # only topk_sparsify reads the counts graph, and only the operator
+    # reads the top-k graph: both are gone by the first hop when impute
+    # builds them, and a counts graph the caller passes is theirs to reuse
     rng = np.random.default_rng(8)
     r = InteractionMatrix.from_pairs(
         [(u, int(i)) for u in range(12) for i in rng.choice(16, 3, replace=False)], 12, 18
@@ -611,18 +672,23 @@ def test_impute_frees_its_counts_graph_before_the_first_hop(method, monkeypatch)
     cfg = ImputeConfig(method=method, top_k=2, hops=3)
     built, alive = [], []
 
-    def recorded_cooccurrence(r):
-        counts = cooccurrence(r)
-        built.append(weakref.ref(counts))
-        return counts
+    def recorded(build):
+        def wrapper(*args):
+            graph = build(*args)
+            built.append(weakref.ref(graph))
+            return graph
+
+        return wrapper
 
     def hook(m, t, x):
         gc.collect()
-        alive.append(built[0]() is not None)
+        alive.append([ref() is not None for ref in built])
 
-    monkeypatch.setattr(mmimpute.imputers, "cooccurrence", recorded_cooccurrence)
+    monkeypatch.setattr(mmimpute.imputers, "cooccurrence", recorded(cooccurrence))
+    monkeypatch.setattr(mmimpute.imputers, "topk_sparsify", recorded(topk_sparsify))
     own, _ = impute(f, r, cfg, on_iteration=hook)
-    assert len(built) == 1 and alive == [False] * cfg.hops
+    assert len(built) == 2 and alive == [[False, False]] * cfg.hops
+    built.clear()
     counts = cooccurrence(r)
     arrays = [a.copy() for a in (counts.adjacency.indptr, counts.adjacency.indices,
                                  counts.adjacency.data, counts.degrees)]
@@ -631,7 +697,7 @@ def test_impute_frees_its_counts_graph_before_the_first_hop(method, monkeypatch)
         assert shared.matrices["m"].tobytes() == own.matrices["m"].tobytes()
     after = (counts.adjacency.indptr, counts.adjacency.indices, counts.adjacency.data, counts.degrees)
     assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(arrays, after))
-    assert len(built) == 1
+    assert len(built) == 2  # two top-k graphs, and no counts graph built
 
 
 def test_impute_hook_restores_cold_placeholders():
@@ -645,11 +711,16 @@ def test_impute_hook_restores_cold_placeholders():
     )
     v = np.array([0.0, 0.5**0.5, 0.5**0.5, -1.0, 0.0])
     f = feature_set(np.column_stack((v, 2 * v)), [False] * 4 + [True])
-    cfg = ImputeConfig(method="pers-pagerank", top_k=3, hops=3)
-    _, plain = impute(f, r, cfg)
-    _, hooked = impute(f, r, cfg, on_iteration=lambda m, t, x: None)
-    assert plain["modalities"]["m"]["fixed_point_steps"] == [1, 1, 1]
-    assert hooked["modalities"] == plain["modalities"]
+    # Unclamped, every hop solves. Clamped, only hop 1 does: the cold item
+    # is the only masked one, so its column of the masked block stays zero
+    # and no unit column is solved; the hook's fill must not reach hop 2.
+    for clamp, steps in ((False, [1, 1, 1]), (True, [1])):
+        cfg = ImputeConfig(method="pers-pagerank", top_k=3, hops=3, clamp=clamp)
+        plain_out, plain = impute(f, r, cfg)
+        hooked_out, hooked = impute(f, r, cfg, on_iteration=lambda m, t, x: None)
+        assert plain["modalities"]["m"]["fixed_point_steps"] == steps
+        assert hooked["modalities"] == plain["modalities"]
+        assert hooked_out.matrices["m"].tobytes() == plain_out.matrices["m"].tobytes()
 
 
 def test_missing_fallback_is_raised_before_the_first_hop():

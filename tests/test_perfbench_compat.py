@@ -68,12 +68,15 @@ def traced_run(tmp_path, command, flags, cold=False):
 )
 def test_traced_impute_runs(tmp_path, flags):
     counts = traced_run(tmp_path, "impute", flags)["counts"]
-    assert counts["imputers.hops"] == 10
     if flags[1] == "pers-pagerank":
-        # the tracer groups one product per reported fixed-point step
+        # the tracer groups one product per reported fixed-point step, and
+        # counts each reported solve (hop 1's, then each unit-column chunk's)
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        steps = sum(sum(m["fixed_point_steps"]) for m in report["modalities"].values())
-        assert counts["imputers.fixed_point_steps"] == steps > 0
+        solves = [s for m in report["modalities"].values() for s in m["fixed_point_steps"]]
+        assert counts["imputers.fixed_point_steps"] == sum(solves) > 0
+        assert counts["imputers.hops"] == len(solves) > 1
+    else:
+        assert counts["imputers.hops"] == 10
 
 
 @pytest.mark.parametrize("method", ["pers-pagerank", "multihop"])
@@ -82,10 +85,12 @@ def test_traced_impute_fills_a_cold_item(tmp_path, method):
     counts = traced_run(tmp_path, "impute", ["--method", method, "--hops", "10"], cold=True)["counts"]
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["modalities"]["text"]["cold_items"] == 1
-    assert counts["imputers.hops"] == 10
     if method == "pers-pagerank":
-        steps = sum(report["modalities"]["text"]["fixed_point_steps"])
-        assert counts["imputers.fixed_point_steps"] == steps > 0
+        solves = report["modalities"]["text"]["fixed_point_steps"]
+        assert counts["imputers.fixed_point_steps"] == sum(solves) > 0
+        assert counts["imputers.hops"] == len(solves) > 1
+    else:
+        assert counts["imputers.hops"] == 10
     feats = read_feature_matrix(tmp_path / "text.fmat")
     mask = np.zeros(len(feats), dtype=bool)
     mask[[*range(0, 40, 5), 40]] = True
@@ -110,6 +115,12 @@ def test_traced_evaluate_runs(tmp_path):
     counts = traced_run(tmp_path, "evaluate", flags)["counts"]
     rows = json.loads((tmp_path / "out").read_text())["rows"]
     assert counts["evaluate.configs"] == len(rows) == 1 + 1 + 2 + 2 * 2 * 3
-    # 2 top-k values x max T 3 x 2 hopping methods x 1 masked modality
-    assert counts["imputers.hops"] == 2 * 3 * 2 * 1
+    # multihop: 2 top-k values x max T 3 x 1 masked modality; pers-pagerank:
+    # each reported solve of the deepest run at each top-k
+    ppr_solves = sum(
+        len(row["modalities"]["text"]["fixed_point_steps"])
+        for row in rows if row["method"] == "pers-pagerank" and row["hops"] == 3
+    )
+    assert ppr_solves > 2 * 3
+    assert counts["imputers.hops"] == 2 * 3 * 1 + ppr_solves
     assert counts["graph.topk_sparsify.calls"] == 3 * 2
