@@ -306,6 +306,8 @@ def _relax_rows(
 def _ppr_solver(a_sl, alpha: float, x0: np.ndarray):
     """(first iterate, step) of the fixed point x = alpha * x0 + (1 - alpha) * A_sl @ x.
 
+    The first iterate is a private C-ordered float64 copy of `x0`, which
+    may be a view of the caller's matrix: each step overwrites its input.
     `step(x)` returns the next iterate and the largest change of each of
     its columns. A step is one product `a_sl @ x`, the only array it
     allocates, which `RowBlockedCSR` splits over the usable cores. The
@@ -328,58 +330,39 @@ def _ppr_solver(a_sl, alpha: float, x0: np.ndarray):
         # np.maximum, not max: a NaN change must stall the iteration
         return x_next, changes[0] if n_blocks == 1 else np.maximum.reduce(changes)
 
-    return x0.astype(np.float64), step
+    return np.array(x0, dtype=np.float64, order="C"), step
 
 
-def _divergence(bound: float, tolerance: float, alpha: float, residual: float):
-    return DivergentDiffusion(
-        f"personalized-PageRank fixed point did not reach residual {bound:.3e} "
-        f"({tolerance} relative to max |x0|) within {FIXED_POINT_STEP_CAP} steps "
-        f"at alpha={alpha} (last residual {residual:.3e})"
-    )
+def _solve_width(dim: int) -> int:
+    """Columns a PPR solve of a d-column modality steps at a time: d/4, at least one."""
+    return max(1, dim // 4)
 
 
-def _ppr_fixed_point(
-    a_sl, alpha: float, x0: np.ndarray, tolerance: float
+def _ppr_columns(
+    a_sl, alpha: float, x0: np.ndarray, rows: np.ndarray, tolerance: float, source: str
 ) -> tuple[np.ndarray, int, float]:
-    """Fixed point of x = alpha * x0 + (1 - alpha) * A_sl @ x.
+    """Rows `rows` of the fixed point of `_ppr_solver` from `x0`, column by column.
 
     Converges to alpha * B^-1 @ x0 when (1 - alpha) * rho(A_sl) < 1;
-    otherwise the residual stalls and the step cap trips. `tolerance` is
-    relative: iteration stops once the largest change of a step is at
-    most `tolerance * max|x0|`, so the outcome does not depend on the
-    scale of the features, and an all-zero `x0` stops after one step.
-    Steps are those of `_ppr_solver`.
+    otherwise the residual stalls and the step cap trips. `x0` is the
+    n x c start, or c item indices standing for their unit columns,
+    which are then built here so that no caller holds them through the
+    solve. Each column keeps its `rows` from its own first step whose
+    change is at most `tolerance`. The columns step together until the
+    last one stops, but a column's bits depend on no other column, so any
+    chunking of the columns gives the same bits. Returns the kept rows,
+    the steps until the last column stopped and the largest change of a
+    kept column. A column that never stops raises DivergentDiffusion
+    with the first such column's last change; `source` tells where
+    `tolerance` comes from and which solve this is.
     """
-    bound = tolerance * (float(np.max(np.abs(x0))) if x0.size else 0.0)
-    x, step = _ppr_solver(a_sl, alpha, x0)
-    residual = 0.0
-    for n_steps in range(1, FIXED_POINT_STEP_CAP + 1):
-        x, changes = step(x)
-        residual = float(changes.max(initial=0.0))
-        if residual <= bound:
-            return x, n_steps, residual
-    raise _divergence(bound, tolerance, alpha, residual)
-
-
-def _ppr_unit_columns(
-    a_sl, alpha: float, rows: np.ndarray, items: np.ndarray, tolerance: float
-) -> tuple[np.ndarray, int, float]:
-    """Rows `rows` of the columns `items` of alpha * B^-1, one output column per item.
-
-    Column j is the fixed point of `_ppr_fixed_point` with x0 the unit
-    column e_j, and each column keeps its iterate from its own first step
-    whose change is at most `tolerance` (max|e_j| is 1). The chunk is
-    never compacted: its columns all step until the last one stops, so a
-    column's bits do not depend on which others share its chunk. Returns
-    the columns, the steps taken and the largest change of a kept column.
-    """
-    x0 = np.zeros((a_sl.shape[0], items.size))
-    x0[items, np.arange(items.size)] = 1.0
+    if x0.ndim == 1:
+        items, x0 = x0, np.zeros((a_sl.shape[0], x0.size))
+        x0[items, np.arange(items.size)] = 1.0
     x, step = _ppr_solver(a_sl, alpha, x0)
     del x0
-    kept = np.empty((rows.size, items.size))
-    pending = np.ones(items.size, dtype=bool)
+    kept = np.empty((rows.size, x.shape[1]))
+    pending = np.ones(x.shape[1], dtype=bool)
     residual = 0.0
     for n_steps in range(1, FIXED_POINT_STEP_CAP + 1):
         x, changes = step(x)
@@ -390,7 +373,40 @@ def _ppr_unit_columns(
             pending[done] = False
             if not pending.any():
                 return kept, n_steps, residual
-    raise _divergence(tolerance, tolerance, alpha, float(changes[pending].max()))
+    raise DivergentDiffusion(
+        f"personalized-PageRank fixed point did not reach residual {tolerance:.3e} {source} "
+        f"within {FIXED_POINT_STEP_CAP} steps at alpha={alpha} "
+        f"(last residual {float(changes[pending][0]):.3e})"
+    )
+
+
+def _ppr_hop(
+    a_sl, alpha: float, x: np.ndarray, rows: np.ndarray | slice, iter_tolerance: float, hop: int
+) -> tuple[np.ndarray, int, float]:
+    """One PPR hop in place: `x[rows]` becomes those rows of the fixed point from `x`.
+
+    `iter_tolerance` is relative: each column stops at its own first step
+    whose change is at most `iter_tolerance * max|x|`, the largest over
+    the whole matrix, so the outcome does not depend on the scale of the
+    features, and an all-zero `x` stops after one step. The solve runs in
+    chunks of `_solve_width` columns, one after another, and each chunk
+    writes its rows into `x` before the next chunk's columns are copied
+    out, so besides `x` it holds three n x d/4 arrays and its kept rows.
+    Returns `x`, the steps of the slowest chunk and the largest change of
+    a kept column; `hop` only names the solve in a divergence.
+    """
+    # max|x| without an n x d temporary; `initial` keeps an empty x at 0
+    scale = max(abs(float(x.max(initial=0.0))), abs(float(x.min(initial=0.0))))
+    source = f"(iter_tolerance={iter_tolerance} times max |x0| = {scale:.3e}) in hop {hop}"
+    rows = np.arange(x.shape[0])[rows]  # an unclamped run's slice(None) as indices
+    width = _solve_width(x.shape[1])
+    n_steps, residual = 0, 0.0
+    for lo in range(0, x.shape[1], width):
+        x[rows, lo:lo + width], steps, change = _ppr_columns(
+            a_sl, alpha, x[:, lo:lo + width], rows, iter_tolerance * scale, source
+        )
+        n_steps, residual = max(n_steps, steps), max(residual, change)
+    return x, n_steps, residual
 
 
 def _dense_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -409,9 +425,11 @@ def _dense_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _masked_block_fits(n_items: int, n_masked: int, dim: int) -> bool:
     """Whether a modality's clamped PPR hops after the first run on the dense block P.
 
-    P holds |M|^2 floats; past 4 n d, above the hop solve's own working
-    set, every hop solves over the whole matrix instead. The rule reads
-    no hop count, so a hop's bits never depend on how many follow it.
+    P holds |M|^2 floats, at most 4 n d: four times the working copy,
+    and about five times a hop solve's own 3/4 n d (three n x d/4 chunk
+    arrays). Past that bound every hop solves over the whole matrix
+    instead. The rule reads no hop count, so a hop's bits never depend on
+    how many follow it.
     """
     return n_masked * n_masked <= 4 * n_items * dim
 
@@ -456,10 +474,14 @@ def _pers_pagerank(
         return x
 
     def row_step(m, rows):
+        hop_count = 0
+
         def hop(x):
+            nonlocal hop_count
+            hop_count += 1
             # the fixed point couples every row; only `rows` are kept
             x[cold[m]] = 0.0  # x0 holds cold rows as placeholders, not a hook's fill
-            x[rows] = solved(m, _ppr_fixed_point, a_sl, alpha, x, iter_tolerance)[rows]
+            solved(m, _ppr_hop, a_sl, alpha, x, rows, iter_tolerance, hop_count)
 
         if not (clamp and _masked_block_fits(f.n_items, rows.size, f.dim(m))):
             return hop
@@ -470,11 +492,14 @@ def _pers_pagerank(
             # so each unit column is solved to iter_tolerance / |M|
             p = np.zeros((rows.size, rows.size))
             warm = np.flatnonzero(~cold_rows)
-            width = max(1, f.dim(m) // 4)  # a chunk's solve holds a quarter of a hop solve's arrays
-            n_chunks = -(-warm.size // width)
+            n_chunks = -(-warm.size // _solve_width(f.dim(m)))
+            source = (
+                f"(iter_tolerance={iter_tolerance} over |M| = {rows.size} masked rows) "
+                "in the masked block P"
+            )
             for cols in np.array_split(warm, n_chunks) if n_chunks else []:
                 p[:, cols] = solved(
-                    m, _ppr_unit_columns, a_sl, alpha, rows, rows[cols], iter_tolerance / rows.size
+                    m, _ppr_columns, a_sl, alpha, rows[cols], rows, iter_tolerance / rows.size, source
                 )
             return lambda x_m: _dense_product(p, x_m)
 
@@ -503,16 +528,18 @@ def impute_pers_pagerank(
     x = alpha * x0 + (1 - alpha) * A_sl @ x over the self-loop normalized
     adjacency, so no n x n matrix is formed; it matches the dense operator
     wherever the series converges. Observed rows stay pinned between
-    applications, so clamped hops keep only the masked rows M. Hop 1 is
-    one solve over the whole matrix, whose masked rows are b; every later
-    hop is x_M <- P x_M + b with the dense P = [alpha * B^-1]_{M,M}. P's
-    column for a masked item with neighbors is one fixed-point solve from
-    its unit column, stopped at its own first step within
-    `iter_tolerance / |M|`; these solves run when hop 2 first needs P, in
-    chunks of at most d/4 columns. A modality whose P would hold more than
-    4 n d floats, and every unclamped run, solves over the whole matrix at
-    every hop instead. A modality with nothing masked is returned
-    unchanged without solving anything.
+    applications, so clamped hops keep only the masked rows M. Every
+    solve treats each column on its own: a column stops at its own first
+    step within its bound, and the columns run in chunks of at most d/4,
+    one after another. Hop 1 is one solve over the whole matrix, bound
+    `iter_tolerance * max|x0|`, whose masked rows are b; every later hop
+    is x_M <- P x_M + b with the dense P = [alpha * B^-1]_{M,M}. P's
+    column for a masked item with neighbors is the solve from its unit
+    column, bound `iter_tolerance / |M|`; these solves run when hop 2
+    first needs P. A modality whose P would hold more than 4 n d floats,
+    and every unclamped run, solves over the whole matrix at every hop
+    instead. A modality with nothing masked is returned unchanged without
+    solving anything.
     """
     check_iter_tolerance(iter_tolerance)
     _check_graph(f, g.n_items)

@@ -316,29 +316,41 @@ def dense_ppr_propagate(f, g, alpha, hops, clamp=True):
     return full_matrix_propagate(f, hops, lambda m, t, x: diffusion @ x, clamp)
 
 
-def expression_fixed_point(a_sl, alpha, x0, tolerance):
-    """Personalized-PageRank fixed point with one new array per operation.
+def expression_fixed_point(a_sl, alpha, x0, tolerance, hop=1):
+    """Personalized-PageRank fixed point, one column alone at a time.
 
-    Each step evaluates `target + (1 - alpha) * (a_sl @ x)` and
-    `max|x_next - x|` as whole-array expressions. The reference the
-    in-place `_ppr_fixed_point` must match bit for bit: iterate, step
-    count, residual and divergence message.
+    Column j steps `target + (1 - alpha) * (a_sl @ x)` over its own n x 1
+    iterate and measures `max|x_next - x|`, each as a whole-array
+    expression, and keeps its iterate from its own first step whose
+    change is at most `tolerance * max|x0|`, the largest over all of x0.
+    Returns the columns, the steps of the slowest column and the largest
+    kept change; the first column that does not stop within the step cap
+    raises with its last change. The reference the chunked `_ppr_hop`
+    must match bit for bit: iterate, step count, residual and divergence
+    message.
     """
-    bound = tolerance * (float(np.max(np.abs(x0))) if x0.size else 0.0)
-    target = alpha * x0
-    x = x0.copy()
-    residual = 0.0
-    for step in range(1, FIXED_POINT_STEP_CAP + 1):
-        x_next = target + (1.0 - alpha) * (a_sl @ x)
-        residual = float(np.max(np.abs(x_next - x))) if x.size else 0.0
-        x = x_next
-        if residual <= bound:
-            return x, step, residual
-    raise DivergentDiffusion(
-        f"personalized-PageRank fixed point did not reach residual {bound:.3e} "
-        f"({tolerance} relative to max |x0|) within {FIXED_POINT_STEP_CAP} steps "
-        f"at alpha={alpha} (last residual {residual:.3e})"
-    )
+    scale = float(np.max(np.abs(x0))) if x0.size else 0.0
+    bound = tolerance * scale
+    x = np.empty_like(x0)
+    n_steps, residual = 0, 0.0
+    for j in range(x0.shape[1]):
+        column = x0[:, [j]]
+        target = alpha * column
+        for step in range(1, FIXED_POINT_STEP_CAP + 1):
+            column_next = target + (1.0 - alpha) * (a_sl @ column)
+            change = float(np.max(np.abs(column_next - column)))
+            column = column_next
+            if change <= bound:
+                break
+        else:
+            raise DivergentDiffusion(
+                f"personalized-PageRank fixed point did not reach residual {bound:.3e} "
+                f"(iter_tolerance={tolerance} times max |x0| = {scale:.3e}) in hop {hop} "
+                f"within {FIXED_POINT_STEP_CAP} steps at alpha={alpha} (last residual {change:.3e})"
+            )
+        x[:, j] = column[:, 0]
+        n_steps, residual = max(n_steps, step), max(residual, change)
+    return x, n_steps, residual
 
 
 def _per_line_data_lines(path):

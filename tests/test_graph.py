@@ -468,14 +468,16 @@ def interactions_of_graph(g):
     return InteractionMatrix.from_pairs(pairs, rows.size, g.n_items)
 
 
-@pytest.mark.parametrize("method", ["multihop", "pers-pagerank"])
+# PPR solves d/4 columns at a time, and a one-column product is never
+# split, so its case needs d >= 8 to split any product
+@pytest.mark.parametrize("method, dim", [("multihop", 6), ("pers-pagerank", 8)], ids=["multihop", "pers-pagerank"])
 @pytest.mark.parametrize("clamp", [True, False], ids=["clamped", "no-clamp"])
-def test_impute_has_the_same_bits_on_any_worker_count(force_blocks, method, clamp):
+def test_impute_has_the_same_bits_on_any_worker_count(force_blocks, method, dim, clamp):
     rng = np.random.default_rng(65)
     g = random_connected_graph(rng, 120)
     r = interactions_of_graph(g)
     assert np.array_equal(cooccurrence(r).adjacency.toarray(), g.adjacency.toarray())
-    f = random_feature_set(rng, 120, dim=6)
+    f = random_feature_set(rng, 120, dim=dim)
     cfg = ImputeConfig(method=method, top_k=200, hops=4, clamp=clamp, iter_tolerance=1e-9)
     runs = []
     for workers in (1, 4):

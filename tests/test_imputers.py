@@ -33,7 +33,7 @@ from mmimpute import (
 import mmimpute.imputers
 from mmimpute import graph
 from mmimpute.features import FALLBACKS
-from mmimpute.imputers import _ppr_fixed_point, _ppr_unit_columns
+from mmimpute.imputers import _cold_rows, _pers_pagerank, _ppr_columns, _ppr_hop
 
 from helpers import (
     binary_graph,
@@ -251,28 +251,32 @@ def test_ppr_fixed_point_is_scale_invariant(scale):
 def test_ppr_fixed_point_zero_input_stops_at_once():
     g = binary_graph(3, [(0, 1), (1, 2)])
     a_sl = ppr_iterative(g, 0.85).matrix
-    x, steps, residual = _ppr_fixed_point(a_sl, 0.85, np.zeros((3, 2)), 1e-8)
+    x, steps, residual = _ppr_hop(a_sl, 0.85, np.zeros((3, 2)), slice(None), 1e-8, 1)
     assert (steps, residual) == (1, 0.0)
     assert not x.any()
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_ppr_fixed_point_memory_stays_flat(monkeypatch, workers):
-    # a step allocates only its product, and the dead iterate is freed
-    # before the next one: no job or closure may keep it alive
+    # a clamped hop over half the rows holds, besides the working copy,
+    # three n x d/4 chunk arrays and the chunk's kept rows: a step
+    # allocates only its product, the dead iterate is freed before the
+    # next one (no job or closure may keep it alive), and each chunk's
+    # rows go into x before the next chunk is copied out
     monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
     monkeypatch.setattr(graph, "_usable_cores", lambda: workers)
     rng = np.random.default_rng(8)
     a_sl = ppr_iterative(random_connected_graph(rng, 2048), 0.5).matrix
-    x0 = rng.standard_normal((2048, 64))  # 1 MiB
+    x = rng.standard_normal((2048, 64))  # 1 MiB
+    rows = np.sort(rng.choice(2048, 1024, replace=False))
     tracemalloc.start()
     try:
-        _, steps, _ = _ppr_fixed_point(a_sl, 0.5, x0, 1e-6)
+        _, steps, _ = _ppr_hop(a_sl, 0.5, x, rows, 1e-6, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert steps > 3
-    assert peak <= 3 * x0.nbytes + 64 * 1024
+    assert peak <= x.nbytes + 64 * 1024
 
 
 def test_ppr_fixed_point_nan_in_one_block_is_divergence(monkeypatch):
@@ -284,7 +288,7 @@ def test_ppr_fixed_point_nan_in_one_block_is_divergence(monkeypatch):
     x0 = np.array([[1.0, 1.0], [1.0, 1.0], [1e308, 1e308], [1e308, 1e308]])
     with warnings.catch_warnings(), pytest.raises(DivergentDiffusion, match=r"last residual nan\)"):
         warnings.simplefilter("ignore", RuntimeWarning)  # overflow, in whichever thread
-        _ppr_fixed_point(a_sl, 0.9, x0, 1e-8)
+        _ppr_hop(a_sl, 0.9, x0, slice(None), 1e-8, 1)
 
 
 def test_ppr_fixed_point_blocks_follow_the_callers_errstate(monkeypatch):
@@ -294,9 +298,9 @@ def test_ppr_fixed_point_blocks_follow_the_callers_errstate(monkeypatch):
     a_sl = ppr_iterative(binary_graph(4, [(0, 1), (2, 3)]), 0.9).matrix
     x0 = np.array([[1.0, 1.0], [1.0, 1.0], [1e308, 1e308], [1e308, 1e308]])
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        _ppr_fixed_point(a_sl, 0.9, x0, 1e-8)
+        _ppr_hop(a_sl, 0.9, x0, slice(None), 1e-8, 1)
     with np.errstate(all="ignore"), pytest.raises(DivergentDiffusion):
-        _ppr_fixed_point(a_sl, 0.9, x0, 1e-8)  # no RuntimeWarning, which fails the suite
+        _ppr_hop(a_sl, 0.9, x0, slice(None), 1e-8, 1)  # no RuntimeWarning, which fails the suite
 
 
 def fixed_point_outcome(solve, *args):
@@ -323,8 +327,12 @@ def test_ppr_fixed_point_matches_expression_oracle():
         cases.append((a_sl, alpha, np.zeros((n, 0)), tolerance))
     two_node = ppr_iterative(binary_graph(2, [(0, 1)]), 0.5).matrix
     cases.append((two_node, 0.5, np.array([[1.0], [0.0]]), 1e-8))
+
+    def hop(a_sl, alpha, x0, tolerance):
+        return _ppr_hop(a_sl, alpha, x0.copy(), slice(None), tolerance, 1)
+
     for k, args in enumerate(cases):
-        got = fixed_point_outcome(_ppr_fixed_point, *args)
+        got = fixed_point_outcome(hop, *args)
         assert got == fixed_point_outcome(expression_fixed_point, *args), k
     assert got[0] == "diverged"
 
@@ -391,24 +399,46 @@ def test_masked_row_kernel_in_narrow_blocks(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_unit_columns_do_not_depend_on_their_chunk(monkeypatch, workers):
-    # a column of the masked block has the same bits solved alone, in a
-    # chunk, or in that chunk reversed, though the columns stop at
-    # different steps and the whole chunk steps until its slowest stops
+    # a column has the same bits solved alone or in any chunk, though the
+    # columns stop at different steps and a chunk steps until its slowest
+    # stops: the unit columns of the masked block alone, in a chunk and in
+    # that chunk reversed; a hop's feature columns alone, at widths 1, 2,
+    # d/4 and d, and in the hop itself
     monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
     monkeypatch.setattr(graph, "_usable_cores", lambda: workers)
     rng = np.random.default_rng(31)
     n = 60
     a_sl = ppr_iterative(random_connected_graph(rng, n), 0.85).matrix
     rows = np.sort(rng.choice(n, 12, replace=False))
+
+    def solve(x0, tolerance):
+        return _ppr_columns(a_sl, 0.85, x0, rows, tolerance, "")
+
     items = rows[[0, 3, 4, 7, 11]]
-    alone = [_ppr_unit_columns(a_sl, 0.85, rows, items[[k]], 1e-9) for k in range(items.size)]
-    chunk, steps, residual = _ppr_unit_columns(a_sl, 0.85, rows, items, 1e-9)
-    reverse, _, _ = _ppr_unit_columns(a_sl, 0.85, rows, items[::-1], 1e-9)
+    alone = [solve(items[[k]], 1e-9) for k in range(items.size)]
+    chunk, steps, residual = solve(items, 1e-9)
+    reverse, _, _ = solve(items[::-1], 1e-9)
     assert len({s for _, s, _ in alone}) > 1
     assert steps == max(s for _, s, _ in alone)
     assert residual == max(r for _, _, r in alone) <= 1e-9
     for k, (column, _, _) in enumerate(alone):
         assert chunk[:, k].tobytes() == column[:, 0].tobytes() == reverse[:, -1 - k].tobytes()
+
+    d = 12
+    x = rng.standard_normal((n, d))
+    x[rows] = 0.0
+    bound = 1e-9 * float(np.max(np.abs(x)))
+    alone = [solve(x[:, [j]], bound) for j in range(d)]
+    assert len({s for _, s, _ in alone}) > 1
+    want = np.hstack([column for column, _, _ in alone])
+    for width in (1, 2, d // 4, d):
+        chunks = [solve(x[:, lo:lo + width], bound) for lo in range(0, d, width)]
+        assert np.hstack([c for c, _, _ in chunks]).tobytes() == want.tobytes(), width
+    hop, steps, residual = _ppr_hop(a_sl, 0.85, x.copy(), rows, 1e-9, 1)
+    assert hop[rows].tobytes() == want.tobytes()
+    assert np.delete(hop, rows, axis=0).tobytes() == np.delete(x, rows, axis=0).tobytes()
+    assert steps == max(s for _, s, _ in alone)
+    assert residual == max(r for _, _, r in alone) <= bound
 
 
 def test_fully_observed_modality_is_copied_through():
@@ -868,5 +898,34 @@ def test_ppr_divergence_names_its_modality():
     )
     with pytest.raises(
         DivergentDiffusion, match=r"^modality 'visual': personalized-PageRank fixed point did not reach"
-    ):
+    ) as exc:
         impute_pers_pagerank(f, g, 0.5, 1)
+    # the bound, the user's iter_tolerance it comes from, and the solve
+    assert str(exc.value).startswith(
+        "modality 'visual': personalized-PageRank fixed point did not reach residual 1.000e-08 "
+        "(iter_tolerance=1e-08 times max |x0| = 1.000e+00) in hop 1 within 500 steps at alpha=0.5 "
+    )
+
+
+def test_ppr_masked_block_divergence_names_its_bound(monkeypatch):
+    # hop 1's solve stops within the step cap, but a unit column of P,
+    # solved to the tighter iter_tolerance / |M|, does not
+    rng = np.random.default_rng(41)
+    n = 30
+    g = random_connected_graph(rng, n)
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, 8, replace=False)] = True
+    f = feature_set(rng.standard_normal((n, 4)), mask)
+    a_sl = ppr_iterative(g, 0.85).matrix
+    _, stats = _pers_pagerank(f, a_sl, _cold_rows(f, g), 0.85, 2, 1e-8, True, None)
+    hop1, *unit_columns = stats["m"]["fixed_point_steps"]
+    assert len(unit_columns) == 8 and max(unit_columns) > hop1
+    monkeypatch.setattr(mmimpute.imputers, "FIXED_POINT_STEP_CAP", hop1)
+    with pytest.raises(DivergentDiffusion) as exc:
+        impute_pers_pagerank(f, g, 0.85, 2)
+    assert str(exc.value).startswith(
+        f"modality 'm': personalized-PageRank fixed point did not reach residual {1e-8 / 8:.3e} "
+        f"(iter_tolerance=1e-08 over |M| = 8 masked rows) in the masked block P within {hop1} steps "
+        "at alpha=0.85 (last residual "
+    )
+    impute_pers_pagerank(f, g, 0.85, 1)  # hop 1 alone still stops within the cap
