@@ -63,9 +63,10 @@ MULTIHOP_COLUMNS = 32
 DENSE_TERMS = 256
 
 IterationHook = Callable[[str, int, np.ndarray], None]
-# (modality, rows) -> step writing one hop's `rows` into the current
-# matrix; `rows` is the masked row indices, or slice(None) for every row
-RowStep = Callable[[str, np.ndarray | slice], Callable[[np.ndarray], None]]
+# step(x, t) writes hop t's rows of the current matrix x
+Step = Callable[[np.ndarray, int], None]
+# (modality, rows) -> (step, block), see `_propagate`
+RowStep = Callable[[str, np.ndarray | slice], tuple[Step, Callable[[np.ndarray], Step] | None]]
 
 
 def _cleared(f: FeatureSet, matrices: dict[str, np.ndarray]) -> FeatureSet:
@@ -156,10 +157,10 @@ def impute_neigh_mean(
         # the determinism contract
         a_rows, deg = g.adjacency[rows], np.maximum(g.degrees[rows], 1)[:, None]
 
-        def step(x):
+        def step(x, t):
             x[rows] = (a_rows @ x) / deg
 
-        return step
+        return step, None
 
     out = _propagate(f, 1, row_step, clamp=True, on_iteration=None)
     for m, x in out.items():
@@ -176,13 +177,17 @@ def _propagate(
 ) -> dict[str, np.ndarray]:
     """Shared hop loop that computes only the rows each hop must produce.
 
-    Every hop is `step(x)`, which writes `x[rows]`. With `clamp` on, observed rows never
-    change, so `rows` is the masked rows; with `clamp` off, `rows` is
-    `slice(None)`, each hop recomputes every row, and the observed rows
-    are restored after the last hop. `row_step(m, rows)` builds the step
-    once per modality, so an operator is sliced to `rows` once, not once
-    per hop, and the step is dropped, with whatever it holds, before the
-    next modality's working copy is made. A modality with no masked rows
+    Hop t is `step(x, t)`, which writes `x[rows]`: the masked rows with
+    `clamp` on, as observed rows never change, or `slice(None)` with it
+    off, when the observed rows are restored after the last hop.
+    `row_step(m, rows)` returns `(step, block)` once per modality, so an
+    operator is sliced once, not once per hop. A clamped hop is affine in
+    the masked rows, x_M <- K x_M + b, with K the operator's masked block
+    and b what the pinned observed rows add, so hop 1, run on the zero
+    placeholders, writes b. A clamped run of more than one hop takes b
+    before hop 1's hook and after it swaps in `block(b)`, the step that
+    applies K, so no other run builds K. A modality's steps are dropped
+    before the next working copy is made; a modality with no masked rows
     is copied through with no hops and no `on_iteration` calls. The hook
     sees the whole matrix, which later hops update in place.
     """
@@ -193,60 +198,22 @@ def _propagate(
         x = _zero_init(f, m)
         if mask.any():
             rows = np.flatnonzero(mask) if clamp else slice(None)
-            step = row_step(m, rows)
+            step, block = row_step(m, rows)
+            swap = clamp and hops > 1 and block is not None
             for t in range(1, hops + 1):
-                step(x)
+                step(x, t)
+                if swap and t == 1:
+                    b = x[rows]
                 if on_iteration is not None:
                     on_iteration(m, t, x)
-            del step
+                if swap and t == 1:
+                    step = block(b)
+                    del b  # the block step holds it
+            del step, block
             if not clamp:  # unclamped hops moved them; outputs keep the inputs
                 x[~mask] = f.matrices[m][~mask]
         out[m] = x
     return out
-
-
-def _masked_block_hops(
-    first_hop: Callable[[np.ndarray], None],
-    block: Callable[[], Callable[[np.ndarray], np.ndarray]],
-    rows: np.ndarray,
-    cold: np.ndarray | None = None,
-    width: int | None = None,
-) -> Callable[[np.ndarray], None]:
-    """The clamped step `x_M <- K x_M + b` on the masked rows `rows`.
-
-    Clamped diffusion is affine on the masked block: a hop maps the
-    masked rows x_M to K x_M + b, with K the operator's block on the
-    masked rows and columns and b what the pinned observed rows add,
-    which no hop changes. Hop 1 is `first_hop(x)`, run on the zero
-    placeholders, so the masked rows it writes are b. `block()` builds K,
-    as the function `x_M -> K x_M`, when hop 2 first needs it, so a
-    one-hop run never pays for it. `cold`, a flag per masked row, marks rows no hop reaches; they enter
-    the product as zeros, whatever a hook left in them. With `width`, a
-    hop runs over that many columns at a time, writing each block of
-    columns before it gathers the next, so it holds only b and one block
-    besides x; a K whose product sums each column on its own, as a CSR
-    product does, gives the same bits at any width.
-    """
-    b = k = None
-
-    def step(x):
-        nonlocal b, k
-        if b is None:
-            first_hop(x)
-            b = x[rows]
-            return
-        if k is None:
-            k = block()
-        n_cols = width or b.shape[1]
-        for lo in range(0, b.shape[1], n_cols):
-            x_m = x[rows, lo:lo + n_cols]
-            if cold is not None:
-                x_m[cold] = 0.0
-            y = k(x_m)
-            y += b[:, lo:lo + n_cols]
-            x[rows, lo:lo + n_cols] = y
-
-    return step
 
 
 def impute_multihop(
@@ -262,7 +229,8 @@ def impute_multihop(
     original values (unless `clamp` is disabled), so information always
     flows outward from observed items. Clamped hops compute only the
     masked rows M: hop 1 is S[M] @ x, and every later hop K x_M + b, with
-    K = S[M][:, M] and b hop 1's result.
+    K = S[M][:, M] and b hop 1's result, `MULTIHOP_COLUMNS` columns at a
+    time (a CSR product sums each column on its own, so no bit moves).
     """
     if op.mode != MODE_SYM:
         raise InvalidParameter("multihop requires a sym-laplacian operator")
@@ -272,17 +240,22 @@ def impute_multihop(
     def row_step(m, rows):
         s_rows = s[rows]
 
-        def hop(x):
+        def hop(x, t):
             x[rows] = s_rows @ x
 
-        if not clamp:
-            return hop
-
-        def block():
+        def block(b):
             k = s_rows[:, rows]  # stays sparse, a slice of the operator like s_rows
-            return lambda x_m: k @ x_m
 
-        return _masked_block_hops(hop, block, rows, width=MULTIHOP_COLUMNS)
+            def step(x, t):
+                for lo in range(0, b.shape[1], MULTIHOP_COLUMNS):
+                    cols = slice(lo, lo + MULTIHOP_COLUMNS)
+                    y = k @ x[rows, cols]
+                    y += b[:, cols]
+                    x[rows, cols] = y
+
+            return step
+
+        return hop, block
 
     out = _propagate(f, hops, row_step, clamp, on_iteration)
     return _cleared(f, out)
@@ -422,8 +395,8 @@ def _dense_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _masked_block_fits(n_items: int, n_masked: int, dim: int) -> bool:
-    """Whether a modality's clamped PPR hops after the first run on the dense block P.
+def _masked_block_fits(f: FeatureSet, m: str) -> bool:
+    """Whether modality m's clamped PPR hops after the first run on the dense block P.
 
     P holds |M|^2 floats, at most 4 n d: four times the working copy,
     and about five times a hop solve's own 3/4 n d (three n x d/4 chunk
@@ -431,7 +404,8 @@ def _masked_block_fits(n_items: int, n_masked: int, dim: int) -> bool:
     instead. The rule reads no hop count, so a hop's bits never depend on
     how many follow it.
     """
-    return n_masked * n_masked <= 4 * n_items * dim
+    n_masked = int(f.masks[m].sum())
+    return n_masked * n_masked <= 4 * f.n_items * f.dim(m)
 
 
 def _ppr_solves(f: FeatureSet, m: str, hops: int, clamp: bool, solves: list) -> list:
@@ -441,7 +415,7 @@ def _ppr_solves(f: FeatureSet, m: str, hops: int, clamp: bool, solves: list) -> 
     solve, then, from hop 2 on, every unit-column solve; any other run
     makes one solve per hop.
     """
-    if clamp and _masked_block_fits(f.n_items, int(f.masks[m].sum()), f.dim(m)):
+    if clamp and _masked_block_fits(f, m):
         return solves[:1] if hops == 1 else solves
     return solves[:hops]
 
@@ -474,22 +448,18 @@ def _pers_pagerank(
         return x
 
     def row_step(m, rows):
-        hop_count = 0
-
-        def hop(x):
-            nonlocal hop_count
-            hop_count += 1
+        def hop(x, t):
             # the fixed point couples every row; only `rows` are kept
             x[cold[m]] = 0.0  # x0 holds cold rows as placeholders, not a hook's fill
-            solved(m, _ppr_hop, a_sl, alpha, x, rows, iter_tolerance, hop_count)
+            solved(m, _ppr_hop, a_sl, alpha, x, rows, iter_tolerance, t)
 
-        if not (clamp and _masked_block_fits(f.n_items, rows.size, f.dim(m))):
-            return hop
-        cold_rows = cold[m][rows]
+        if not _masked_block_fits(f, m):
+            return hop, None
 
-        def block():
+        def block(b):
             # P's cold columns stay zero. A row of P @ x_M sums |M| terms,
             # so each unit column is solved to iter_tolerance / |M|
+            cold_rows = cold[m][rows]
             p = np.zeros((rows.size, rows.size))
             warm = np.flatnonzero(~cold_rows)
             n_chunks = -(-warm.size // _solve_width(f.dim(m)))
@@ -501,9 +471,17 @@ def _pers_pagerank(
                 p[:, cols] = solved(
                     m, _ppr_columns, a_sl, alpha, rows[cols], rows, iter_tolerance / rows.size, source
                 )
-            return lambda x_m: _dense_product(p, x_m)
 
-        return _masked_block_hops(hop, block, rows, cold_rows)
+            def step(x, t):
+                x_m = x[rows]
+                x_m[cold_rows] = 0.0  # cold rows enter as zeros, whatever a hook left
+                y = _dense_product(p, x_m)
+                y += b
+                x[rows] = y
+
+            return step
+
+        return hop, block
 
     out = _propagate(f, hops, row_step, clamp, on_iteration)
     stats = {
@@ -535,10 +513,10 @@ def impute_pers_pagerank(
     `iter_tolerance * max|x0|`, whose masked rows are b; every later hop
     is x_M <- P x_M + b with the dense P = [alpha * B^-1]_{M,M}. P's
     column for a masked item with neighbors is the solve from its unit
-    column, bound `iter_tolerance / |M|`; these solves run when hop 2
-    first needs P. A modality whose P would hold more than 4 n d floats,
-    and every unclamped run, solves over the whole matrix at every hop
-    instead. A modality with nothing masked is returned unchanged without
+    column, bound `iter_tolerance / |M|`; these solves run after hop 1's
+    `on_iteration` call, and only if hop 2 follows. A modality whose P
+    would hold more than 4 n d floats, and every unclamped run, solves
+    over the whole matrix at every hop instead. A modality with nothing masked is returned unchanged without
     solving anything.
     """
     check_iter_tolerance(iter_tolerance)

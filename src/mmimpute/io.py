@@ -15,7 +15,8 @@ canonical order owned by `graph.first_appearance_order`, so
 a written dataset re-reads with identical indexing. An input that cannot
 be read or is not UTF-8 raises ParseError (text) or FormatError (.fmat).
 A feature set with a value that does not fit float32 is refused before
-any of its files, or the interactions written with it, is created.
+any of its files, or the interactions written with it, is created, and
+so is an id that would not read back as itself (`_check_ids`).
 """
 
 from __future__ import annotations
@@ -114,8 +115,60 @@ def read_interactions(path) -> InteractionMatrix:
     return interactions_from_ids(users, items)
 
 
+def _id_problem(ident: str, user: bool) -> str | None:
+    """Why an id would not read back as itself from an interactions file, or None."""
+    if not ident:
+        return "is empty"
+    # text mode reads a lone carriage return as a line end
+    if "\t" in ident or "\n" in ident or "\r" in ident:
+        return "holds a tab or a line break"
+    if ident != ident.strip():
+        return "starts or ends with whitespace"
+    if user and ident[0] == "#":
+        return "starts with '#'"
+    if not (ident.isascii() or _encodes(ident)):
+        return "cannot be encoded as UTF-8"
+    return None
+
+
+def _encodes(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _check_ids(r: InteractionMatrix):
+    """Raise FormatError naming the first id that would not read back as itself.
+
+    `read_interactions` strips fields, splits lines at tabs, skips lines
+    that start with '#', reads UTF-8 and drops a byte-order mark that
+    starts the file. So `_id_problem` refuses ids that are empty, hold a
+    tab or a line break, start or end with whitespace or are not UTF-8,
+    and user ids that start with '#'; the first user id, whose line
+    starts the file, may not start with a byte-order mark either. Users
+    are checked before items, each in index order.
+    """
+    if r.user_ids and r.user_ids[0].startswith("\ufeff"):
+        raise FormatError(
+            f"user id {r.user_ids[0]!r} starts with a byte-order mark, which is dropped "
+            "at the start of a file, so it would not read back as itself"
+        )
+    for kind, ids in (("user", r.user_ids), ("item", r.item_ids)):
+        for ident in ids:
+            problem = _id_problem(ident, kind == "user")
+            if problem is not None:
+                raise FormatError(
+                    f"{kind} id {ident!r} {problem}, so it would not read back as itself"
+                )
+
+
 def write_interactions(path, r: InteractionMatrix):
-    """One "user_id<TAB>item_id" line per entry, in row-major order."""
+    """One "user_id<TAB>item_id" line per entry, in row-major order.
+
+    The ids are written as they are; `write_dataset` checks them first.
+    """
     users = np.repeat(np.asarray(r.user_ids, dtype=object), np.diff(r.matrix.indptr))
     items = np.asarray(r.item_ids, dtype=object)[r.matrix.indices]
     with open(path, "w", encoding="utf-8") as handle:
@@ -300,10 +353,12 @@ def canonicalize_dataset(
 def write_dataset(directory, r: InteractionMatrix, f: FeatureSet) -> dict:
     """Write feature files plus interactions in canonical index order.
 
-    The features go first, so a feature set that `write_feature_set`
-    refuses leaves no file behind.
+    The ids (`_check_ids`) are checked first and the features written
+    next, so ids or a feature set that `write_feature_set` refuses leave
+    no file behind.
     """
     check_row_count(f, r)
+    _check_ids(r)
     r2, f2 = canonicalize_dataset(r, f)
     feature_files = write_feature_set(directory, f2)
     write_interactions(Path(directory) / "interactions.tsv", r2)

@@ -33,7 +33,7 @@ from mmimpute import (
 import mmimpute.imputers
 from mmimpute import graph
 from mmimpute.features import FALLBACKS
-from mmimpute.imputers import _cold_rows, _pers_pagerank, _ppr_columns, _ppr_hop
+from mmimpute.imputers import _cold_rows, _pers_pagerank, _ppr_columns, _ppr_hop, _propagate
 
 from helpers import (
     binary_graph,
@@ -921,11 +921,61 @@ def test_ppr_masked_block_divergence_names_its_bound(monkeypatch):
     hop1, *unit_columns = stats["m"]["fixed_point_steps"]
     assert len(unit_columns) == 8 and max(unit_columns) > hop1
     monkeypatch.setattr(mmimpute.imputers, "FIXED_POINT_STEP_CAP", hop1)
+    hooked = []
     with pytest.raises(DivergentDiffusion) as exc:
-        impute_pers_pagerank(f, g, 0.85, 2)
+        impute_pers_pagerank(f, g, 0.85, 2, on_iteration=lambda m, t, x: hooked.append((m, t)))
+    assert hooked == [("m", 1)]  # hop 1's hook runs before P is built
     assert str(exc.value).startswith(
         f"modality 'm': personalized-PageRank fixed point did not reach residual {1e-8 / 8:.3e} "
         f"(iter_tolerance=1e-08 over |M| = 8 masked rows) in the masked block P within {hop1} steps "
         "at alpha=0.85 (last residual "
     )
     impute_pers_pagerank(f, g, 0.85, 1)  # hop 1 alone still stops within the cap
+
+
+@pytest.mark.parametrize("hops, clamp", [(1, True), (1, False), (3, False), (2, True), (4, True)])
+def test_propagate_swaps_in_the_block_step_after_hop_1(hops, clamp):
+    # a fake method: hop t adds t to its rows, and the block step writes
+    # b + 100 t; the hook overwrites the masked rows, so a b taken after
+    # it, or a view of x, would show -1
+    f = FeatureSet.create(
+        [("a", np.arange(8.0).reshape(4, 2)), ("b", np.ones((4, 1)))],
+        {"a": np.array([False, True, False, True]), "b": np.zeros(4, dtype=bool)},
+    )
+    events = []
+
+    def row_step(m, rows):
+        events.append(("row_step", m))
+
+        def step(x, t):
+            events.append(("step", m, t))
+            x[rows] += t
+
+        def block(b):
+            events.append(("block", m, b.tolist()))
+
+            def block_step(x, t):
+                events.append(("block_step", m, t))
+                x[rows] = b + 100 * t
+
+            return block_step
+
+        return step, block
+
+    def hook(m, t, x):
+        events.append(("hook", m, t))
+        x[f.masks[m]] = -1.0
+
+    out = _propagate(f, hops, row_step, clamp, hook)
+    # the modality with nothing masked gets no step and no hook call
+    expected = [("row_step", "a")]
+    if clamp and hops > 1:
+        expected += [("step", "a", 1), ("hook", "a", 1), ("block", "a", [[1.0, 1.0], [1.0, 1.0]])]
+        for t in range(2, hops + 1):
+            expected += [("block_step", "a", t), ("hook", "a", t)]
+    else:
+        for t in range(1, hops + 1):
+            expected += [("step", "a", t), ("hook", "a", t)]
+    assert events == expected
+    assert out["b"].tolist() == [[1.0]] * 4
+    assert out["a"][[0, 2]].tolist() == [[0.0, 1.0], [4.0, 5.0]]  # observed rows kept

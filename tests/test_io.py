@@ -428,3 +428,45 @@ def test_canonicalize_dataset_without_features_reorders_the_items():
     assert canonical.item_ids == ("b", "a")
     assert canonical.user_ids == r.user_ids
     assert canonical.matrix.toarray().tolist() == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        # read back as a comment: 3 interactions would become 2
+        ([("#u1", "a"), ("#u1", "b"), ("u2", "c")], r"user id '#u1' starts with '#'"),
+        # read back as the user "u1"
+        ([(" u1", "a"), ("u1", "b"), ("u2", "c")], r"user id ' u1' starts or ends with whitespace"),
+        ([("u1", "a"), ("u2", "b\t"), ("u2", "c")], r"item id 'b\\t' holds a tab"),
+        ([("", "a"), ("u1", "b")], r"user id '' is empty"),
+        ([("u1", "")], r"item id '' is empty"),
+        ([("u\t1", "a")], r"user id 'u\\t1' holds a tab or a line break"),
+        ([("u1", "a\nb")], r"item id 'a\\nb' holds a tab or a line break"),
+        # text mode reads a lone carriage return as a line end
+        ([("u1", "a\rb")], r"item id 'a\\rb' holds a tab or a line break"),
+        # the first line's leading byte-order mark is dropped
+        ([("\ufeffu1", "a"), ("u2", "b")], r"user id '\\ufeffu1' starts with a byte-order mark"),
+        ([("u1", "a"), ("u\udc80", "b")], r"user id 'u\\udc80' cannot be encoded as UTF-8"),
+        # the first bad id is named, users before items
+        ([("u1", " a"), ("u2 ", "b"), ("#u3", "c")], r"user id 'u2 ' starts or ends"),
+    ],
+)
+def test_write_dataset_refuses_ids_that_do_not_read_back(tmp_path, pairs, message):
+    r = build_interaction_matrix(pairs)
+    f = feature_set(np.ones((r.n_items, 2)), [False] * r.n_items)
+    with pytest.raises(FormatError, match=rf"^{message}.*, so it would not read back as itself$"):
+        write_dataset(tmp_path / "ds", r, f)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_dataset_keeps_ids_that_read_back(tmp_path):
+    # an item id may start with '#', since a line starts with its user id,
+    # and a user id after the first with a byte-order mark; inner spaces
+    # and non-ASCII text stay
+    pairs = [("u 1", "#a"), ("u 1", "\ufeffb"), ("\ufeffü", "ç c"), ("u\x00", "a\x0bb")]
+    r = build_interaction_matrix(pairs)
+    f = feature_set(np.ones((r.n_items, 1)), [False] * r.n_items)
+    write_dataset(tmp_path, r, f)
+    r2 = read_interactions(tmp_path / "interactions.tsv")
+    assert r2.user_ids == r.user_ids and r2.item_ids == r.item_ids
+    assert np.array_equal(r2.matrix.toarray(), r.matrix.toarray())
