@@ -87,11 +87,14 @@ def parse_grid(spec: str) -> list[int]:
 
 
 def parse_methods(spec: str) -> list[str]:
+    """Parse "zeros,multihop" into its methods, in order; each must be known and given once."""
     methods = [m.strip() for m in spec.split(",") if m.strip()]
     if not methods:
         raise InvalidParameter("no methods given")
-    for m in methods:
+    for k, m in enumerate(methods):
         ImputeConfig(method=m)  # rejects an unknown method
+        if m in methods[:k]:
+            raise InvalidParameter(f"method '{m}' given twice")
     return methods
 
 

@@ -276,36 +276,6 @@ def _relax_rows(
     return np.abs(old, out=old).max(axis=0, initial=0.0)
 
 
-def _ppr_solver(a_sl, alpha: float, x0: np.ndarray):
-    """(first iterate, step) of the fixed point x = alpha * x0 + (1 - alpha) * A_sl @ x.
-
-    The first iterate is a private C-ordered float64 copy of `x0`, which
-    may be a view of the caller's matrix: each step overwrites its input.
-    `step(x)` returns the next iterate and the largest change of each of
-    its columns. A step is one product `a_sl @ x`, the only array it
-    allocates, which `RowBlockedCSR` splits over the usable cores. The
-    product is then scaled and shifted in place, and the change is
-    measured in the dead previous iterate; this pass runs over as many
-    row blocks as the product, on the same pool. Only `target`, the
-    iterate and the product are alive at once. Each column's largest
-    change over the blocks is exact, so iterates and changes have the same
-    bits at any core count, and a column's bits do not depend on the
-    other columns of `x0`.
-    """
-    target = alpha * x0
-    # as many blocks as the product, but each row costs this pass the same
-    n_blocks = _block_count(a_sl, x0.shape[1])
-    blocks = np.linspace(0, x0.shape[0], n_blocks + 1).astype(np.int64).tolist()
-
-    def step(x):
-        x_next = a_sl @ x
-        changes = _run_blocks(_relax_rows, blocks, x_next, x, target, 1.0 - alpha)
-        # np.maximum, not max: a NaN change must stall the iteration
-        return x_next, changes[0] if n_blocks == 1 else np.maximum.reduce(changes)
-
-    return np.array(x0, dtype=np.float64, order="C"), step
-
-
 def _solve_width(dim: int) -> int:
     """Columns a PPR solve of a d-column modality steps at a time: d/4, at least one."""
     return max(1, dim // 4)
@@ -314,31 +284,45 @@ def _solve_width(dim: int) -> int:
 def _ppr_columns(
     a_sl, alpha: float, x0: np.ndarray, rows: np.ndarray, tolerance: float, source: str
 ) -> tuple[np.ndarray, int, float]:
-    """Rows `rows` of the fixed point of `_ppr_solver` from `x0`, column by column.
+    """Rows `rows` of the fixed point x = alpha * x0 + (1 - alpha) * A_sl @ x, column by column.
 
     Converges to alpha * B^-1 @ x0 when (1 - alpha) * rho(A_sl) < 1;
     otherwise the residual stalls and the step cap trips. `x0` is the
-    n x c start, or c item indices standing for their unit columns,
-    which are then built here so that no caller holds them through the
-    solve. Each column keeps its `rows` from its own first step whose
-    change is at most `tolerance`. The columns step together until the
-    last one stops, but a column's bits depend on no other column, so any
-    chunking of the columns gives the same bits. Returns the kept rows,
-    the steps until the last column stopped and the largest change of a
-    kept column. A column that never stops raises DivergentDiffusion
+    n x c start, which may be a view of the caller's matrix, or c item
+    indices standing for their unit columns, built here so that no
+    caller holds them through the solve. The iterate starts as a private
+    copy of `x0`. A step is one product `a_sl @ x`, the only array it
+    allocates, which `RowBlockedCSR` splits over the usable cores;
+    `_relax_rows` then turns it into the next iterate over as many row
+    blocks, on the same pool. Only `target`, the iterate and the product
+    are alive at once. Each column keeps its `rows` from its own first
+    step whose change is at most `tolerance`; the columns step together
+    until the last one stops. A column's largest change over the blocks
+    is exact and its bits depend on no other column, so any core count
+    and any chunking of the columns give the same bits. Returns the kept
+    rows, the steps until the last column stopped and the largest change
+    of a kept column. A column that never stops raises DivergentDiffusion
     with the first such column's last change; `source` tells where
     `tolerance` comes from and which solve this is.
     """
     if x0.ndim == 1:
         items, x0 = x0, np.zeros((a_sl.shape[0], x0.size))
         x0[items, np.arange(items.size)] = 1.0
-    x, step = _ppr_solver(a_sl, alpha, x0)
+    target = alpha * x0
+    x = np.array(x0, dtype=np.float64, order="C")  # each step overwrites its input
     del x0
+    # as many blocks as the product, but each row costs the relax pass the same
+    n_blocks = _block_count(a_sl, x.shape[1])
+    blocks = np.linspace(0, x.shape[0], n_blocks + 1).astype(np.int64).tolist()
     kept = np.empty((rows.size, x.shape[1]))
     pending = np.ones(x.shape[1], dtype=bool)
     residual = 0.0
     for n_steps in range(1, FIXED_POINT_STEP_CAP + 1):
-        x, changes = step(x)
+        x_next = a_sl @ x
+        changes = _run_blocks(_relax_rows, blocks, x_next, x, target, 1.0 - alpha)
+        # np.maximum, not max: a NaN change must stall the iteration
+        changes = changes[0] if n_blocks == 1 else np.maximum.reduce(changes)
+        x = x_next
         done = np.flatnonzero(pending & (changes <= tolerance))
         if done.size:
             kept[:, done] = x[np.ix_(rows, done)]
@@ -457,11 +441,11 @@ def _pers_pagerank(
             return hop, None
 
         def block(b):
-            # P's cold columns stay zero. A row of P @ x_M sums |M| terms,
-            # so each unit column is solved to iter_tolerance / |M|
-            cold_rows = cold[m][rows]
+            # P's cold columns stay zero, so a finite value a hook leaves in
+            # a cold row adds nothing. A row of P @ x_M sums |M| terms, so
+            # each unit column is solved to iter_tolerance / |M|
             p = np.zeros((rows.size, rows.size))
-            warm = np.flatnonzero(~cold_rows)
+            warm = np.flatnonzero(~cold[m][rows])
             n_chunks = -(-warm.size // _solve_width(f.dim(m)))
             source = (
                 f"(iter_tolerance={iter_tolerance} over |M| = {rows.size} masked rows) "
@@ -473,9 +457,7 @@ def _pers_pagerank(
                 )
 
             def step(x, t):
-                x_m = x[rows]
-                x_m[cold_rows] = 0.0  # cold rows enter as zeros, whatever a hook left
-                y = _dense_product(p, x_m)
+                y = _dense_product(p, x[rows])
                 y += b
                 x[rows] = y
 
@@ -575,7 +557,7 @@ def impute(
             fill = _fallback_rows(f, cold, cfg.cold_fallback)
 
             def hook(m, t, x):
-                x[cold[m]] = fill[m]  # no multihop hop reads it; the PPR step zeroes it
+                x[cold[m]] = fill[m]  # PPR solves zero it; K has no cold column, P zero ones
                 if on_iteration is not None:
                     on_iteration(m, t, x)
 

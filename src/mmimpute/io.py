@@ -7,7 +7,8 @@ dimensions (rows, columns), then the float32 row-major payload. They
 load as float32 and stay float32 through dropping and reordering; a
 float32 matrix is written without conversion. Masks are text, one
 "item_id<TAB>modality_name" per line, resolved against the interaction
-vocabulary.
+vocabulary; a comment line whose first field is a known item id is
+refused, as that item's id starts with '#'.
 
 Feature rows are keyed by item index, i.e. by first appearance of the
 item id in the interactions file. `write_dataset` writes in the
@@ -59,7 +60,9 @@ def _read_records(path, what: str, known: dict[str, int] | None = None):
     fields, looked up in `known` when it is given, and the list of second
     fields. The first bad line in file order raises, naming the line:
     undecodable bytes (ParseError), a line that is not two tab-separated
-    fields (ParseError), or a first field not in `known` (UnknownItem).
+    fields (ParseError), a first field not in `known` (UnknownItem), or a
+    line skipped as a comment whose first tab-separated field is in
+    `known` (ParseError), since it would silently drop that item's line.
     """
     try:
         # a leading byte-order mark is dropped; undecodable bytes become
@@ -83,6 +86,14 @@ def _read_records(path, what: str, known: dict[str, int] | None = None):
         except UnicodeEncodeError as exc:
             lineno = text.count("\n", 0, exc.start) + 1
             bad.append((lineno, ParseError(f"{path}:{lineno}: not UTF-8 text")))
+    if known is not None and "#" in text:
+        numbers = enumerate(map(str.strip, text.split("\n")), start=1)
+        comments = ((k, line.split("\t", 1)[0].strip()) for k, line in numbers if line[0:1] == "#")
+        for lineno, item in comments:
+            if item in known:
+                message = f"{path}:{lineno}: item id '{item}' starts with '#', which marks a comment"
+                bad.append((lineno, ParseError(message)))
+                break
     unknown = False
     if known is not None:
         firsts = list(map(known.get, firsts))

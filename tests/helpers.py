@@ -353,7 +353,8 @@ def expression_fixed_point(a_sl, alpha, x0, tolerance, hop=1):
     return x, n_steps, residual
 
 
-def _per_line_data_lines(path):
+def _per_line_data_lines(path, known=()):
+    """Data lines; a comment whose first field is in `known` raises ParseError."""
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
             if not raw.isascii():
@@ -362,6 +363,11 @@ def _per_line_data_lines(path):
                 except UnicodeEncodeError:
                     raise ParseError(f"{path}:{lineno}: not UTF-8 text") from None
             line = raw.strip()
+            item = line.split("\t")[0].strip()
+            if line.startswith("#") and item in known:
+                raise ParseError(
+                    f"{path}:{lineno}: item id '{item}' starts with '#', which marks a comment"
+                )
             if not line or line.startswith("#"):
                 continue
             yield lineno, line
@@ -399,10 +405,13 @@ def per_line_read_interactions(path):
 
 
 def per_line_read_mask(path, r):
-    """Mask reader that resolves ids line by line; the `read_mask` reference."""
+    """Mask reader that resolves ids line by line; the `read_mask` reference.
+
+    A comment line that names a known item, whose id starts with '#', is refused.
+    """
     index = {item_id: i for i, item_id in enumerate(r.item_ids)}
     out = {}
-    for lineno, line in _per_line_data_lines(path):
+    for lineno, line in _per_line_data_lines(path, index):
         item_id, modality = _per_line_split_pair(path, lineno, line, "item_id<TAB>modality_name")
         if item_id not in index:
             raise UnknownItem(f"{path}:{lineno}: unknown item id '{item_id}'")

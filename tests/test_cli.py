@@ -459,6 +459,7 @@ def test_unwritable_existing_directory_is_data_error(tmp_path, capsys, monkeypat
     [
         (["--iter-tolerance", "inf"], "iter_tolerance must be positive and finite"),
         (["--methods", "bogus"], "unknown method 'bogus'"),
+        (["--methods", "zeros,multihop,zeros"], "method 'zeros' given twice"),
         (["--hide-fraction", "1.5"], "hide fraction must be in (0, 1), got 1.5"),
         (["--top-k-grid", "5:1:1"], "bad grid '5:1:1'"),
         (["--hops-grid", "0:3:1"], "bad grid '0:3:1'"),
@@ -468,7 +469,7 @@ def test_unwritable_existing_directory_is_data_error(tmp_path, capsys, monkeypat
         (["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
     ],
     ids=[
-        "iter-tolerance", "methods", "hide-fraction", "top-k-grid", "hops-grid",
+        "iter-tolerance", "methods", "methods-repeated", "hide-fraction", "top-k-grid", "hops-grid",
         "top-k-grid-integer", "hops-grid-integer", "alpha", "seed",
     ],
 )

@@ -279,6 +279,43 @@ def test_ppr_fixed_point_memory_stays_flat(monkeypatch, workers):
     assert peak <= x.nbytes + 64 * 1024
 
 
+def csr_nbytes(a):
+    return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_multihop_later_hop_memory_stays_flat(monkeypatch, workers):
+    # a clamped hop after the first holds, besides the working copy and the
+    # operator's sparse S[M] and K = S[M][:, M], only b and three blocks of
+    # `MULTIHOP_COLUMNS` columns: the last block's K x_M + b, and the next
+    # block of x_M and its product. All of x_M and K x_M, an n x d temporary
+    # or a dense K does not fit in the slack, which holds the masked rows'
+    # indices and the pool's jobs
+    monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(graph, "_usable_cores", lambda: workers)
+    rng = np.random.default_rng(9)
+    n, n_masked, dim = 4096, 2048, 4 * mmimpute.imputers.MULTIHOP_COLUMNS
+    op = sym_norm_adjacency(random_connected_graph(rng, n))
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, n_masked, replace=False)] = True
+    f = feature_set(rng.standard_normal((n, dim)), mask)
+    rows = np.flatnonzero(mask)
+    s_rows = op.matrix[rows]
+    operator_bytes = csr_nbytes(s_rows) + csr_nbytes(s_rows[:, rows])
+    hops = []
+    tracemalloc.start()
+    try:
+        out = impute_multihop(f, op, 4, on_iteration=lambda m, t, x: hops.append(t))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hops == [1, 2, 3, 4]
+    x_bytes = out.matrices["m"].nbytes
+    block_bytes = n_masked * mmimpute.imputers.MULTIHOP_COLUMNS * 8
+    assert peak <= x_bytes + n_masked * dim * 8 + 3 * block_bytes + operator_bytes + 64 * 1024
+    assert 64 * 1024 < block_bytes < x_bytes
+
+
 def test_ppr_fixed_point_nan_in_one_block_is_divergence(monkeypatch):
     # one component overflows to a NaN change while the other converges:
     # the residual over the row blocks must be NaN, not the other block's
