@@ -16,6 +16,7 @@ from pathlib import Path
 from .errors import DataError, InconsistentData, InvalidParameter, NumericalError, UsageError
 from .evaluate import (
     check_hide_fraction,
+    check_methods,
     check_synth_params,
     dataset_stats,
     drop_missing,
@@ -91,10 +92,7 @@ def parse_methods(spec: str) -> list[str]:
     methods = [m.strip() for m in spec.split(",") if m.strip()]
     if not methods:
         raise InvalidParameter("no methods given")
-    for k, m in enumerate(methods):
-        ImputeConfig(method=m)  # rejects an unknown method
-        if m in methods[:k]:
-            raise InvalidParameter(f"method '{m}' given twice")
+    check_methods(methods)
     return methods
 
 

@@ -102,6 +102,14 @@ def drop_missing(
     return matrix, pruned, before, after
 
 
+def check_methods(methods: Sequence[str]):
+    """Raise InvalidParameter at the first method that is unknown or given twice."""
+    for k, method in enumerate(methods):
+        ImputeConfig(method=method)  # rejects an unknown method
+        if method in methods[:k]:
+            raise InvalidParameter(f"method '{method}' given twice")
+
+
 def check_hide_fraction(fraction: float):
     """Raise InvalidParameter unless 0 < fraction < 1."""
     if not (0.0 < fraction < 1.0):
@@ -301,8 +309,7 @@ def run_sweep(
     top-k only; the propagating methods sweep top-k x hops, with one
     propagation per top-k that scores every hop count.
     """
-    for method in methods:
-        ImputeConfig(method=method)  # rejects an unknown method before any work
+    check_methods(methods)  # before any work
     masked, hidden = mask_features(f, hide_fraction, seed)
     counts = cooccurrence(r) if any(m in GRAPH_METHODS for m in methods) else None
     rows: list[dict] = []

@@ -1,23 +1,28 @@
 """File formats and dataset round-tripping.
 
 Interactions are UTF-8 text, one "user_id<TAB>item_id" per line; blank
-lines, lines starting with '#' and a leading byte-order mark are ignored. Feature matrices use a
-little-endian binary format: the 8-byte magic "FMATv1\\0\\0", two u64
-dimensions (rows, columns), then the float32 row-major payload. They
-load as float32 and stay float32 through dropping and reordering; a
-float32 matrix is written without conversion. Masks are text, one
-"item_id<TAB>modality_name" per line, resolved against the interaction
-vocabulary; a comment line whose first field is a known item id is
-refused, as that item's id starts with '#'.
+lines, lines starting with '#' and a leading byte-order mark are
+ignored. Masks are text, one "item_id<TAB>modality_name" per line,
+resolved against the interaction vocabulary; a comment line whose first
+field is a known item id is refused, as that item's id starts with '#'.
+Every parse error of a text file names its line, and the first bad line
+in file order raises; within one line the checks run in this order:
+bytes that are not UTF-8, a mask comment that names a known item, a line
+that is not two tab-separated fields (all ParseError), then an unknown
+item id (UnknownItem). Feature matrices use a little-endian binary
+format: the 8-byte magic "FMATv1\\0\\0", two u64 dimensions (rows,
+columns), then the float32 row-major payload. They load as float32 and
+stay float32 through dropping and reordering; a float32 matrix is
+written without conversion.
 
 Feature rows are keyed by item index, i.e. by first appearance of the
 item id in the interactions file. `write_dataset` writes in the
-canonical order owned by `graph.first_appearance_order`, so
-a written dataset re-reads with identical indexing. An input that cannot
-be read or is not UTF-8 raises ParseError (text) or FormatError (.fmat).
-A feature set with a value that does not fit float32 is refused before
-any of its files, or the interactions written with it, is created, and
-so is an id that would not read back as itself (`_check_ids`).
+canonical order owned by `graph.first_appearance_order`, so a written
+dataset re-reads with identical indexing. An input that cannot be read
+raises ParseError (text) or FormatError (.fmat). A feature set with a
+value that does not fit float32 is refused before any of its files, or
+the interactions written with it, is created, and so is an id that
+would not read back as itself (`_check_ids`).
 """
 
 from __future__ import annotations
@@ -51,65 +56,60 @@ _FLOAT32_LIMIT = 2.0**128 - 2.0**103
 _WRITE_CHUNK_BYTES = 2**20
 
 
-def _read_records(path, what: str, known: dict[str, int] | None = None):
-    """Both fields of every data line of a two-column text file.
-
-    The file is read at once and split in bulk: lines are stripped, blank
-    lines and lines starting with '#' are skipped, the rest are split at
-    their one tab, and every field is stripped. Returns the list of first
-    fields, looked up in `known` when it is given, and the list of second
-    fields. The first bad line in file order raises, naming the line:
-    undecodable bytes (ParseError), a line that is not two tab-separated
-    fields (ParseError), a first field not in `known` (UnknownItem), or a
-    line skipped as a comment whose first tab-separated field is in
-    `known` (ParseError), since it would silently drop that item's line.
-    """
+def _read_text(path) -> str:
+    """A text file without its byte-order mark; bytes that are not UTF-8 become lone surrogates."""
     try:
-        # a leading byte-order mark is dropped; undecodable bytes become
-        # lone surrogates, so the bad line is known
         with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
+
+
+def _records(path, text: str, what: str, known: dict[str, int] | None = None):
+    """Yield (first field, or its value in `known`, second field) for each data line.
+
+    Lines and fields are stripped, and blank and '#' lines skipped. The
+    first bad line raises, in the order the module docstring gives.
+    """
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        if not (raw.isascii() or _encodes(raw)):
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text")
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "#":
+            item = line.split("\t", 1)[0].strip()
+            if known is not None and item in known:
+                raise ParseError(
+                    f"{path}:{lineno}: item id '{item}' starts with '#', which marks a comment"
+                )
+            continue
+        if line.count("\t") != 1:
+            raise ParseError(f"{path}:{lineno}: expected '{what}', got {line!r}")
+        # a stripped line neither starts nor ends with its tab: no field is empty
+        first, second = map(str.strip, line.split("\t"))
+        if known is not None and first not in known:
+            raise UnknownItem(f"{path}:{lineno}: unknown item id '{first}'")
+        yield (first if known is None else known[first]), second
+
+
+def _split_interactions(path) -> tuple[list[str], list[str]]:
+    """The user and item fields of an interactions file, split in bulk.
+
+    The text and its lines are freed before the fields are made, so the
+    three are never held at once. A text with a bad line is walked by
+    `_records`, which raises at the first.
+    """
+    text = _read_text(path)
     lines = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "#"]
-    tabs = list(map(str.count, lines, repeat("\t")))
-    n_good = len(lines)  # data lines before the first bad one
-    if tabs.count(1) != n_good:
-        n_good = next(k for k, n_tabs in enumerate(tabs) if n_tabs != 1)
-    # a stripped line neither starts nor ends with its tab: no field is empty
-    fields = list(map(str.strip, "\t".join(lines[:n_good]).split("\t"))) if n_good else []
-    firsts, seconds = fields[0::2], fields[1::2]
-    bad = []  # (line number, error), in order of precedence on one line
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            lineno = text.count("\n", 0, exc.start) + 1
-            bad.append((lineno, ParseError(f"{path}:{lineno}: not UTF-8 text")))
-    if known is not None and "#" in text:
-        numbers = enumerate(map(str.strip, text.split("\n")), start=1)
-        comments = ((k, line.split("\t", 1)[0].strip()) for k, line in numbers if line[0:1] == "#")
-        for lineno, item in comments:
-            if item in known:
-                message = f"{path}:{lineno}: item id '{item}' starts with '#', which marks a comment"
-                bad.append((lineno, ParseError(message)))
-                break
-    unknown = False
-    if known is not None:
-        firsts = list(map(known.get, firsts))
-        if None in firsts:
-            n_good, unknown = firsts.index(None), True
-    if n_good < len(lines):
-        numbers = enumerate(map(str.strip, text.split("\n")), start=1)
-        lineno = [k for k, line in numbers if line and line[0] != "#"][n_good]
-        if unknown:
-            error = UnknownItem(f"{path}:{lineno}: unknown item id '{fields[2 * n_good]}'")
-        else:
-            error = ParseError(f"{path}:{lineno}: expected '{what}', got {lines[n_good]!r}")
-        bad.append((lineno, error))
-    if bad:
-        raise min(bad, key=lambda b: b[0])[1]
-    return firsts, seconds
+    one_tab = list(map(str.count, lines, repeat("\t"))).count(1)
+    if one_tab != len(lines) or not (text.isascii() or _encodes(text)):
+        for _ in _records(path, text, "user_id<TAB>item_id"):
+            pass
+    joined = "\t".join(lines)
+    del text, lines
+    fields = list(map(str.strip, joined.split("\t"))) if joined else []
+    return fields[0::2], fields[1::2]
 
 
 def read_interactions(path) -> InteractionMatrix:
@@ -120,7 +120,7 @@ def read_interactions(path) -> InteractionMatrix:
     the parse's memory from being returned (see
     `graph._index_by_first_appearance`).
     """
-    users, items = _read_records(path, "user_id<TAB>item_id")
+    users, items = _split_interactions(path)
     if not users:
         raise EmptyDataset(f"{path}: no interactions")
     return interactions_from_ids(users, items)
@@ -264,9 +264,8 @@ def _write_payload(path, matrix: np.ndarray):
 def read_mask(path, r: InteractionMatrix) -> dict[str, set[int]]:
     """Load per-modality missing-item sets; duplicate lines collapse."""
     index = {item_id: i for i, item_id in enumerate(r.item_ids)}
-    items, modalities = _read_records(path, "item_id<TAB>modality_name", index)
     out: dict[str, set[int]] = {}
-    for item, modality in zip(items, modalities):
+    for item, modality in _records(path, _read_text(path), "item_id<TAB>modality_name", index):
         out.setdefault(modality, set()).add(item)
     return out
 

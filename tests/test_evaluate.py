@@ -419,6 +419,17 @@ def test_run_sweep_unknown_method():
         run_sweep(r, f, ["nope"], [5], [1], 0.2, 0)
 
 
+def test_run_sweep_refuses_a_repeated_method_before_any_work(monkeypatch):
+    r, f = synth_generate(20, 10, 2, 0.5, 0.1, [("m", 4)], 0.1, seed=4)
+
+    def no_work(*args):
+        raise AssertionError("the methods are checked before any row is hidden")
+
+    monkeypatch.setattr(evaluate, "mask_features", no_work)
+    with pytest.raises(InvalidParameter, match="^method 'zeros' given twice$"):
+        run_sweep(r, f, ["zeros", "zeros"], [5], [1], 0.2, 0)
+
+
 def sweep_outcome(sweep, *args, **kwargs):
     """The rows as JSON, or the error type and message."""
     try:

@@ -268,6 +268,57 @@ def test_mask_line_of_an_item_id_starting_with_hash_is_refused(tmp_path):
     assert read_mask(mask_path, r) == {"text": {2}}
 
 
+@pytest.mark.parametrize(
+    "reader, data, error, message",
+    [
+        ("interactions", b"u1\ta\nu1\tb\xff\tc\n", ParseError, ":2: not UTF-8 text"),
+        ("mask", b"b\ttext\n#a\ttext\t\xff\n", ParseError, ":2: not UTF-8 text"),
+        (
+            "mask", b"b\ttext\n#a\ttext\tx\n", ParseError,
+            ":2: item id '#a' starts with '#', which marks a comment",
+        ),
+        (
+            "mask", b"zzz\ttext\tx\n", ParseError,
+            ":1: expected 'item_id<TAB>modality_name', got 'zzz\\ttext\\tx'",
+        ),
+        ("mask", b"zzz\ttext\n#a\ttext\n\xff\n", UnknownItem, ":1: unknown item id 'zzz'"),
+        (
+            "interactions", b"u1 a\nu1\tb\xff\n", ParseError,
+            ":1: expected 'user_id<TAB>item_id', got 'u1 a'",
+        ),
+    ],
+    ids=[
+        "bad-byte-before-fields", "bad-byte-before-comment", "comment-before-fields",
+        "fields-before-unknown", "first-line-wins-mask", "first-line-wins-interactions",
+    ],
+)
+def test_parse_errors_follow_line_order_then_check_order(tmp_path, reader, data, error, message):
+    r = read_interactions_text(tmp_path, "u1\t#a\nu1\tb\n")
+    path = tmp_path / "data.tsv"
+    path.write_bytes(data)
+    with pytest.raises(error) as excinfo:
+        read_interactions(path) if reader == "interactions" else read_mask(path, r)
+    assert str(excinfo.value) == f"{path}{message}"
+
+
+def test_a_good_interactions_file_is_split_without_the_line_walker(tmp_path, monkeypatch):
+    # the walker is for bad files only: large good ones stay on the bulk split
+    def walker(*args):
+        raise AssertionError("the line walker was reached")
+
+    monkeypatch.setattr("mmimpute.io._records", walker)
+    path = tmp_path / "r.tsv"
+    path.write_bytes(
+        b"\xef\xbb\xbf# users\tand items\r\n\r\n u1\ta \r\nu1\t\xc3\xa9\r\n  # indented\r\nu2\ta\r\n"
+    )
+    r = read_interactions(path)
+    assert (r.user_ids, r.item_ids) == (("u1", "u2"), ("a", "é"))
+    assert r.matrix.toarray().tolist() == [[1, 1], [1, 0]]
+    path.write_bytes(b"u1\ta\tb\n")  # a bad file does reach it
+    with pytest.raises(AssertionError, match="walker was reached"):
+        read_interactions(path)
+
+
 def test_read_mask_strips_byte_order_mark(tmp_path):
     r = interactions_abc(tmp_path)
     mask_path = tmp_path / "mask.tsv"
