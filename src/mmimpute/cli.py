@@ -160,10 +160,12 @@ def _cmd_impute(args) -> int:
 
 def _cmd_drop(args) -> int:
     _check_writable_dir(args.out)
-    # the loaded dataset is never named here, so it is freed before the write
-    r, f, before, after = drop_missing(*_load_dataset(args))
+    r, f = _load_dataset(args)
+    # the loaded interactions are freed here; the loaded features are the
+    # only copy, and the kept rows are gathered from them as they are written
+    r, items, before, after = drop_missing(r, f)
     out = Path(args.out)
-    files = write_dataset(out, r, f)
+    files = write_dataset(out, r, f, items)
     _dump_json(out / "stats.json", {"before": before.as_dict(), "after": after.as_dict(), "files": files})
     print(
         f"dropped {before.n_items - after.n_items} items, "

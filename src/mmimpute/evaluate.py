@@ -71,7 +71,7 @@ def dataset_stats(r: InteractionMatrix, f: FeatureSet) -> DatasetStats:
 
 def drop_missing(
     r: InteractionMatrix, f: FeatureSet
-) -> tuple[InteractionMatrix, FeatureSet, DatasetStats, DatasetStats]:
+) -> tuple[InteractionMatrix, np.ndarray, DatasetStats, DatasetStats]:
     """Remove items with any missing modality, then cascade-prune.
 
     Interactions touching removed items are dropped, then users left with
@@ -79,7 +79,10 @@ def drop_missing(
     (`graph.first_appearance_order`), so a pruned dataset
     written to disk re-reads with identical indexing; items that had no
     interactions to begin with keep their relative order at the end.
-    Returns the pruned dataset plus before/after stats.
+    Returns the pruned interactions, `items` (the index in `r` and `f` of
+    each surviving item, in the new order) and before/after stats. No
+    feature row is copied: `f.select(items)` is the pruned feature set,
+    and `io.write_dataset(directory, matrix, f, items)` writes it.
     """
     before = dataset_stats(r, f)
     dropped = np.zeros(f.n_items, dtype=bool)
@@ -88,18 +91,20 @@ def drop_missing(
     if dropped.all():
         raise EmptyDataset("every item has a missing modality")
     if not dropped.any():
-        return r, f, before, before
+        return r, np.arange(r.n_items), before, before
 
     kept_items = np.flatnonzero(~dropped)
     columns = r.matrix[:, kept_items]  # users left without entries add nothing to the stream
     kept_users = np.flatnonzero(np.diff(columns.indptr))
     if kept_users.size == 0:
         raise EmptyDataset("no interactions survive the drop")
-    old_of_new = kept_items[first_appearance_order(columns)]
-    matrix = r.select(kept_users, old_of_new)
-    pruned = FeatureSet.create([(m, f.matrices[m][old_of_new]) for m in f.modalities])
-    after = dataset_stats(matrix, pruned)
-    return matrix, pruned, before, after
+    items = kept_items[first_appearance_order(columns)]
+    matrix = r.select(kept_users, items)
+    # every surviving item has all its modalities
+    after = DatasetStats(
+        matrix.n_users, matrix.n_items, matrix.n_interactions, dict.fromkeys(f.modalities, 0)
+    )
+    return matrix, items, before, after
 
 
 def check_methods(methods: Sequence[str]):

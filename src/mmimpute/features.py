@@ -21,6 +21,8 @@ METHODS = ("zeros", "random", "global-mean", "neigh-mean", "multihop", "pers-pag
 GRAPH_METHODS = ("neigh-mean", "multihop", "pers-pagerank")
 ALPHA_METHODS = ("pers-pagerank",)  # the methods that read `alpha`
 FALLBACKS = ("zeros", "global-mean")
+# Matrix entries `validate` checks at a time, which bounds its temporaries.
+_VALIDATE_CHUNK = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +77,14 @@ class FeatureSet:
 
     def missing_counts(self) -> dict[str, int]:
         return {m: int(self.masks[m].sum()) for m in self.modalities}
+
+    def select(self, items) -> "FeatureSet":
+        """A new set whose item i is item `items[i]` of this one: rows and masks gathered."""
+        return FeatureSet(
+            self.modalities,
+            {m: self.matrices[m][items] for m in self.modalities},
+            {m: self.masks[m][items] for m in self.modalities},
+        )
 
     @classmethod
     def create(
@@ -208,6 +218,8 @@ def validate(f: FeatureSet, r: InteractionMatrix) -> ValidationReport:
 
     Checks row counts against the interaction matrix, finiteness of
     observed rows, and the all-zero placeholder contract of masked rows.
+    Rows are checked `_VALIDATE_CHUNK` entries at a time, so no
+    temporary the size of a matrix is made.
     """
     problems: list[str] = []
     try:
@@ -216,13 +228,19 @@ def validate(f: FeatureSet, r: InteractionMatrix) -> ValidationReport:
         problems.append(str(exc))
     for m in f.modalities:
         mat, mask = f.matrices[m], f.masks[m]
-        observed = ~mask
-        bad_finite = np.flatnonzero(observed & ~np.isfinite(mat).all(axis=1))
+        finite = np.empty(mat.shape[0], dtype=bool)
+        nonzero = np.empty(mat.shape[0], dtype=bool)
+        step = max(1, _VALIDATE_CHUNK // max(mat.shape[1], 1))
+        for lo in range(0, mat.shape[0], step):
+            block = mat[lo:lo + step]
+            finite[lo:lo + step] = np.isfinite(block).all(axis=1)
+            nonzero[lo:lo + step] = (block != 0.0).any(axis=1)
+        bad_finite = np.flatnonzero(~mask & ~finite)
         if bad_finite.size:
             problems.append(
                 f"modality '{m}': non-finite values in observed rows {_format_indices(bad_finite)}"
             )
-        bad_zero = np.flatnonzero(mask & (mat != 0.0).any(axis=1))
+        bad_zero = np.flatnonzero(mask & nonzero)
         if bad_zero.size:
             problems.append(
                 f"modality '{m}': masked rows are not zero placeholders: {_format_indices(bad_zero)}"

@@ -299,6 +299,33 @@ def _block_count(matrix: sp.csr_matrix, n_cols: int) -> int:
     return max(1, min(_usable_cores(), matrix.nnz * n_cols // MIN_BLOCK_WORK))
 
 
+@functools.cache
+def _kernel_agrees() -> bool:
+    """Whether `csr_matvecs` over two row blocks gives the bits of `csr_matrix @`.
+
+    Checked once, on a small matrix, when a product would first split. A
+    kernel that is missing, fails or disagrees is never used: products
+    then run unsplit.
+    """
+    if csr_matvecs is None:
+        return False
+    # rows of 0-3 entries whose sums round; fixed values, as drawing them would
+    # map numpy's random code into every process that splits a product
+    indptr = np.array([0, 2, 3, 3, 6, 8, 9])
+    indices = np.array([0, 3, 1, 0, 2, 3, 1, 3, 2])
+    a = sp.csr_matrix((1.0 / np.arange(3, 12), indices, indptr), shape=(6, 4))
+    x = np.sqrt(np.arange(1.0, 13.0)).reshape(4, 3)
+    out = np.zeros((6, 3))
+    try:
+        for lo, hi in ((0, 3), (3, 6)):
+            csr_matvecs(
+                hi - lo, 4, 3, a.indptr[lo:hi + 1], a.indices, a.data, x.ravel(), out[lo:hi].ravel()
+            )
+    except (TypeError, ValueError):  # a private kernel may change its signature
+        return False
+    return out.tobytes() == (a @ x).tobytes()
+
+
 def _run_job(job: list):
     fn, args, errors = job.pop()  # a finished job keeps no reference to its arrays
     with np.errstate(**errors):  # numpy's error handling is per thread
@@ -331,11 +358,11 @@ class RowBlockedCSR(sp.csr_matrix):
     each block runs scipy's own kernel (`csr_matvecs`, which `csr_matrix @`
     runs) over its rows, writing them in place. Each output row is summed
     in the order `csr_matrix @` sums it, so the product has the same bits
-    at any block count. Without that kernel (a scipy that moved it), every
-    product is one block. A product of one block, and a product with any
-    other operand (1-D, one column, which scipy sends to another kernel,
-    another dtype or layout), is `csr_matrix.__matmul__` itself. Row
-    slices keep the type.
+    at any block count. Without that kernel (a scipy that moved it), or
+    with one that fails `_kernel_agrees`, every product is one block. A
+    product of one block, and a product with any other operand (1-D, one
+    column, which scipy sends to another kernel, another dtype or
+    layout), is `csr_matrix.__matmul__` itself. Row slices keep the type.
     """
 
     def __matmul__(self, x):
@@ -345,8 +372,8 @@ class RowBlockedCSR(sp.csr_matrix):
             and x.flags.c_contiguous
         ):
             return super().__matmul__(x)
-        n_blocks = _block_count(self, x.shape[1]) if csr_matvecs else 1
-        if n_blocks == 1:
+        n_blocks = _block_count(self, x.shape[1])
+        if n_blocks == 1 or not _kernel_agrees():
             return super().__matmul__(x)
         # contiguous row blocks holding about equal stored entries
         inner = np.searchsorted(self.indptr, np.arange(1, n_blocks) * (self.nnz / n_blocks))

@@ -52,8 +52,10 @@ _HEADER = struct.Struct("<8sQQ")
 # The least magnitude that rounds to float32 infinity: halfway between the
 # float32 maximum (2^128 - 2^104) and 2^128, where round-to-even goes up.
 _FLOAT32_LIMIT = 2.0**128 - 2.0**103
-# Payload bytes converted and written at a time by `_write_payload`.
+# Payload bytes gathered, checked and written at a time (`_row_chunks`).
 _WRITE_CHUNK_BYTES = 2**20
+# Interaction lines formatted and written at a time by `write_interactions`.
+_WRITE_CHUNK_LINES = 2**14
 
 
 def _read_text(path) -> str:
@@ -179,11 +181,17 @@ def write_interactions(path, r: InteractionMatrix):
     """One "user_id<TAB>item_id" line per entry, in row-major order.
 
     The ids are written as they are; `write_dataset` checks them first.
+    Lines are made and written `_WRITE_CHUNK_LINES` at a time.
     """
-    users = np.repeat(np.asarray(r.user_ids, dtype=object), np.diff(r.matrix.indptr))
-    items = np.asarray(r.item_ids, dtype=object)[r.matrix.indices]
+    indptr, indices = r.matrix.indptr, r.matrix.indices
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("".join((users + "\t" + items + "\n").tolist()))
+        for lo in range(0, indices.size, _WRITE_CHUNK_LINES):
+            entries = np.arange(lo, min(lo + _WRITE_CHUNK_LINES, indices.size))
+            users = np.searchsorted(indptr, entries, side="right") - 1
+            handle.write("".join([
+                f"{r.user_ids[u]}\t{r.item_ids[i]}\n"
+                for u, i in zip(users.tolist(), indices[entries].tolist())
+            ]))
 
 
 def read_feature_matrix(path) -> np.ndarray:
@@ -235,30 +243,52 @@ def write_feature_matrix(path, matrix: np.ndarray):
     _write_payload(path, arr)
 
 
-def _check_float32(path, matrix: np.ndarray):
-    """Raise FormatError unless every value rounds to a finite float32.
+def _row_chunks(matrix: np.ndarray, rows=None):
+    """Indexes into `matrix` of `_WRITE_CHUNK_BYTES` of float32 payload each.
+
+    Without `rows` these are slices over all rows, in order; with it,
+    pieces of `rows`. Each chunk is gathered by its user and dropped before
+    the next, so at most one is held.
+    """
+    n_rows = matrix.shape[0] if rows is None else len(rows)
+    step = max(1, _WRITE_CHUNK_BYTES // (4 * max(matrix.shape[1], 1)))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, lo + step) if rows is None else rows[lo:lo + step]
+
+
+def _check_float32(path, matrix: np.ndarray, rows=None):
+    """Raise FormatError unless every value written rounds to a finite float32.
+
+    Only the rows `_row_chunks(matrix, rows)` names are checked.
+    """
+    for index in _row_chunks(matrix, rows):
+        if not _fits_float32(matrix[index]):
+            raise FormatError(f"{path}: refusing to write values that are not finite at float32")
+
+
+def _fits_float32(chunk: np.ndarray) -> bool:
+    """Whether every value rounds to a finite float32.
 
     Only the extremes are compared, so no converted copy is made; a NaN
     makes an extreme NaN, which fails both comparisons.
     """
-    if matrix.size and not (
-        -_FLOAT32_LIMIT < float(matrix.min()) and float(matrix.max()) < _FLOAT32_LIMIT
-    ):
-        raise FormatError(f"{path}: refusing to write values that are not finite at float32")
+    return not chunk.size or (
+        -_FLOAT32_LIMIT < float(chunk.min()) and float(chunk.max()) < _FLOAT32_LIMIT
+    )
 
 
-def _write_payload(path, matrix: np.ndarray):
-    """The header and the float32 payload of a checked 2-d matrix.
+def _write_payload(path, matrix: np.ndarray, rows=None):
+    """The header and the float32 payload of the checked rows `_row_chunks` names.
 
-    Rows are converted and written `_WRITE_CHUNK_BYTES` of payload at a
-    time, so a float64 matrix is never copied whole to float32.
+    Rows are gathered, converted and written one chunk at a time, so a
+    float64 matrix is never copied whole to float32, nor a selection of
+    rows gathered whole.
     """
-    n_rows, dim = matrix.shape
-    step = max(1, _WRITE_CHUNK_BYTES // (4 * max(dim, 1)))
+    n_rows = matrix.shape[0] if rows is None else len(rows)
     with open(path, "wb") as handle:
-        handle.write(_HEADER.pack(FEATURE_MAGIC, n_rows, dim))
-        for lo in range(0, n_rows, step):
-            handle.write(np.ascontiguousarray(matrix[lo:lo + step], dtype="<f4"))
+        handle.write(_HEADER.pack(FEATURE_MAGIC, n_rows, matrix.shape[1]))
+        for index in _row_chunks(matrix, rows):
+            handle.write(np.ascontiguousarray(matrix[index], dtype="<f4"))
 
 
 def read_mask(path, r: InteractionMatrix) -> dict[str, set[int]]:
@@ -302,36 +332,34 @@ def load_feature_set(
     return FeatureSet.create(matrices, masks)
 
 
-def write_feature_set(directory, f: FeatureSet) -> dict[str, str]:
+def write_feature_set(directory, f: FeatureSet, rows=None) -> dict[str, str]:
     """Write one .fmat file per modality; returns the file names used.
 
-    Every modality name (`check_modality_name`), then every matrix, is
-    checked before the directory or any file is created, so a refused
-    name or matrix leaves nothing written, and no file lands outside
-    `directory`. Payloads are converted one modality, and within it one
-    chunk of rows, at a time.
+    With `rows`, file row i holds row `rows[i]` of each matrix, gathered
+    as it is written, and only those rows are checked. Every modality
+    name (`check_modality_name`), then every matrix, is checked before
+    the directory or any file is created, so a refused name or matrix
+    leaves nothing written, and no file lands outside `directory`.
+    Payloads are converted one modality, and within it one chunk of
+    rows, at a time.
     """
     for m in f.modalities:
         check_modality_name(m)
     directory = Path(directory)
     names = {m: f"{m}.fmat" for m in f.modalities}
     for m, name in names.items():
-        _check_float32(directory / name, f.matrices[m])
+        _check_float32(directory / name, f.matrices[m], rows)
     directory.mkdir(parents=True, exist_ok=True)
     for m, name in names.items():
-        _write_payload(directory / name, f.matrices[m])
+        _write_payload(directory / name, f.matrices[m], rows)
     return names
 
 
-def canonicalize_dataset(
-    r: InteractionMatrix, f: FeatureSet | None = None
-) -> tuple[InteractionMatrix, FeatureSet | None]:
-    """Reindex items into canonical order (`first_appearance_order`).
+def _canonical_order(r: InteractionMatrix) -> np.ndarray | None:
+    """The old index of each item in canonical order, or None if `r` is canonical already.
 
-    A dataset in canonical order survives a write/read cycle with
-    identical indexing and is returned as is. Items or users without
-    interactions cannot be represented in the interaction file and are
-    rejected.
+    Items or users without interactions cannot be represented in the
+    interaction file and are rejected.
     """
     counts_u = np.diff(r.matrix.indptr)
     if (counts_u == 0).any():
@@ -347,29 +375,50 @@ def canonicalize_dataset(
             f"items without interactions cannot be serialized: {', '.join(bad)}"
         )
     order = first_appearance_order(r.matrix)
-    if (order == np.arange(r.n_items)).all():
+    return None if (order == np.arange(r.n_items)).all() else order
+
+
+def canonicalize_dataset(
+    r: InteractionMatrix, f: FeatureSet | None = None
+) -> tuple[InteractionMatrix, FeatureSet | None]:
+    """Reindex items into canonical order (`first_appearance_order`).
+
+    A dataset in canonical order survives a write/read cycle with
+    identical indexing and is returned as is. Items or users without
+    interactions cannot be represented in the interaction file and are
+    rejected.
+    """
+    order = _canonical_order(r)
+    if order is None:
         return r, f
-    matrix = r.select(np.arange(r.n_users), order)
-    if f is None:
-        return matrix, None
-    reordered = FeatureSet(
-        f.modalities,
-        {m: f.matrices[m][order] for m in f.modalities},
-        {m: f.masks[m][order] for m in f.modalities},
-    )
-    return matrix, reordered
+    return r.select(np.arange(r.n_users), order), None if f is None else f.select(order)
 
 
-def write_dataset(directory, r: InteractionMatrix, f: FeatureSet) -> dict:
+def write_dataset(directory, r: InteractionMatrix, f: FeatureSet, rows=None) -> dict:
     """Write feature files plus interactions in canonical index order.
 
-    The ids (`_check_ids`) are checked first and the features written
-    next, so ids or a feature set that `write_feature_set` refuses leave
-    no file behind.
+    `rows[i]`, when given, is the row of `f` that holds item i of `r`
+    (the `items` that `evaluate.drop_missing` returns); without it, row
+    i does. Rows are gathered in canonical order as they are written,
+    so no reordered copy of the features is made. The ids (`_check_ids`)
+    are checked first and the features written next, so ids or a
+    feature set that `write_feature_set` refuses leave no file behind.
     """
-    check_row_count(f, r)
+    if rows is None:
+        check_row_count(f, r)
+    else:
+        rows = np.asarray(rows)
+        if rows.shape != (r.n_items,) or rows.size and not (
+            0 <= rows.min() and rows.max() < f.n_items
+        ):
+            raise InconsistentData(
+                f"rows must name one of the {f.n_items} feature rows for each of {r.n_items} items"
+            )
     _check_ids(r)
-    r2, f2 = canonicalize_dataset(r, f)
-    feature_files = write_feature_set(directory, f2)
-    write_interactions(Path(directory) / "interactions.tsv", r2)
+    order = _canonical_order(r)
+    if order is not None:
+        r = r.select(np.arange(r.n_users), order)
+        rows = order if rows is None else rows[order]
+    feature_files = write_feature_set(directory, f, rows)
+    write_interactions(Path(directory) / "interactions.tsv", r)
     return {"interactions": "interactions.tsv", "features": feature_files}

@@ -74,7 +74,8 @@ def test_dataset_stats_empty_mask():
 def test_drop_missing_cascade():
     # item c is missing text; u2 interacted only with c
     r, f = small_dataset()
-    r2, f2, before, after = drop_missing(r, f)
+    r2, items, before, after = drop_missing(r, f)
+    f2 = f.select(items)
     assert before.n_items == 3 and after.n_items == 2
     assert before.n_users == 3 and after.n_users == 2
     assert "u2" not in r2.user_ids
@@ -87,8 +88,8 @@ def test_drop_missing_cascade():
 def test_drop_missing_identity_when_complete():
     r, f = small_dataset()
     complete = FeatureSet.create([(m, f.matrices[m]) for m in f.modalities])
-    r2, f2, before, after = drop_missing(r, complete)
-    assert r2 is r and f2 is complete
+    r2, items, before, after = drop_missing(r, complete)
+    assert r2 is r and items.tolist() == list(range(r.n_items))
     assert before.as_dict() == after.as_dict()
 
 
@@ -109,7 +110,7 @@ def test_drop_missing_counts_and_orphans():
         feats = rng.standard_normal((r.n_items, 3))
         f = feature_set(feats, mask)
         try:
-            r2, f2, before, after = drop_missing(r, f)
+            r2, items, before, after = drop_missing(r, f)
         except EmptyDataset:
             continue
         assert after.n_items == before.n_items - int(mask.sum())
@@ -120,8 +121,10 @@ def test_drop_missing_counts_and_orphans():
 
 def test_drop_missing_fixed_point():
     r, f = small_dataset()
-    r2, f2, _, first = drop_missing(r, f)
-    r3, f3, _, second = drop_missing(r2, f2)
+    r2, items, _, first = drop_missing(r, f)
+    f2 = f.select(items)
+    r3, items, _, second = drop_missing(r2, f2)
+    f3 = f2.select(items)
     assert first.as_dict() == second.as_dict()
     assert r3.user_ids == r2.user_ids
     assert r3.item_ids == r2.item_ids
@@ -132,7 +135,8 @@ def test_drop_missing_fixed_point():
 
 def test_drop_missing_keeps_feature_alignment():
     r, f = small_dataset()
-    r2, f2, _, _ = drop_missing(r, f)
+    r2, items, _, _ = drop_missing(r, f)
+    f2 = f.select(items)
     for new_idx, item_id in enumerate(r2.item_ids):
         old_idx = r.item_ids.index(item_id)
         assert np.array_equal(f2.matrices["visual"][new_idx], f.matrices["visual"][old_idx])
@@ -142,7 +146,7 @@ def test_drop_missing_preserves_isolated_items():
     # directly built datasets may contain items without interactions
     r = InteractionMatrix.from_pairs([(0, 0), (1, 1)], 2, 3)
     f = feature_set(np.ones((3, 2)), [False, True, False])
-    r2, f2, before, after = drop_missing(r, f)
+    r2, items, before, after = drop_missing(r, f)
     assert after.n_items == 2
     assert r2.item_ids == ("i0", "i2")  # isolated kept item goes last
 
@@ -209,6 +213,11 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def drop_and_select(r, f):
+    r2, items, _, _ = drop_missing(r, f)
+    return r2, f.select(items)
+
+
 def test_reindex_matches_pair_oracles(tmp_path):
     rng = np.random.default_rng(11)
     seen = {"isolated": 0, "all-but-one": 0, "reordered": 0}
@@ -221,7 +230,7 @@ def test_reindex_matches_pair_oracles(tmp_path):
         seen["all-but-one"] += kind == "all-but-one"
 
         want = outcome(lexsort_drop_reindex, r, f)
-        got = outcome(lambda: drop_missing(r, f)[:2])
+        got = outcome(drop_and_select, r, f)
         if isinstance(want[0], type):
             assert got == want
         else:
@@ -248,7 +257,9 @@ def test_drop_output_is_canonical():
             masks["text"][rng.integers(0, r.n_items)] = True
         if (masks["text"] | masks["visual"]).all():
             continue
-        r2, f2, _, _ = drop_missing(r, FeatureSet.create(matrices, masks))
+        f = FeatureSet.create(matrices, masks)
+        r2, items, _, _ = drop_missing(r, f)
+        f2 = f.select(items)
         r3, f3 = canonicalize_dataset(r2, f2)
         assert r3 is r2 and f3 is f2
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,36 @@ from mmimpute import (
     build_interaction_matrix,
     validate,
 )
+from mmimpute.graph import InteractionMatrix
 
 from helpers import feature_set
 
 
 def three_item_dataset():
     return build_interaction_matrix([("u1", "a"), ("u1", "b"), ("u2", "c")])
+
+
+def test_validate_checks_rows_a_chunk_at_a_time():
+    # two 20,000 x 512 bool temporaries would take 20 MB
+    n, dim = 20000, 512
+    r = InteractionMatrix.from_pairs([(0, i) for i in range(n)], 1, n)
+    mat = np.ones((n, dim), dtype=np.float32)
+    mask = np.arange(n) % 2 == 0
+    mat[mask] = 0.0
+    mat[n - 1, dim - 1] = np.nan
+    mat[n - 2, 7] = 2.0
+    f = FeatureSet.create([("m", mat)], {"m": mask})
+    tracemalloc.start()
+    try:
+        report = validate(f, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert report.problems == (
+        f"modality 'm': non-finite values in observed rows {n - 1}",
+        f"modality 'm': masked rows are not zero placeholders: {n - 2}",
+    )
 
 
 def test_validate_consistent():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -370,6 +371,29 @@ def force_blocks(monkeypatch):
         return ran
 
     return force
+
+
+@pytest.mark.skipif(graph.csr_matvecs is None, reason="this scipy has no csr_matvecs")
+@pytest.mark.parametrize("fault", ["one-ulp-off", "raises"])
+def test_a_kernel_that_disagrees_is_never_split_over(force_blocks, monkeypatch, fault):
+    assert graph._kernel_agrees.__wrapped__()  # scipy's own kernel passes the check
+    kernel = graph.csr_matvecs
+
+    def faulty(*args):
+        if fault == "raises":
+            raise TypeError("csr_matvecs() takes exactly 9 arguments")
+        kernel(*args)
+        out = args[-1]
+        out[-1] = np.nextafter(out[-1], np.inf)
+
+    monkeypatch.setattr(graph, "csr_matvecs", faulty)
+    monkeypatch.setattr(graph, "_kernel_agrees", functools.cache(graph._kernel_agrees.__wrapped__))
+    rng = np.random.default_rng(62)
+    ran = force_blocks(2)
+    for name, op in blocked_cases():
+        x = rng.standard_normal((op.shape[1], 7))
+        assert (op @ x).tobytes() == sp.csr_matrix.__matmul__(op, x).tobytes(), name
+    assert ran == [] and not graph._kernel_agrees()
 
 
 def blocked_cases():

@@ -17,7 +17,7 @@ from mmimpute import (
     UnknownModality,
     build_interaction_matrix,
 )
-from mmimpute import graph
+from mmimpute import graph, io
 from mmimpute.graph import InteractionMatrix
 from mmimpute.io import (
     _WRITE_CHUNK_BYTES,
@@ -220,6 +220,47 @@ def test_write_dataset_round_trip(tmp_path):
     # first-appearance order is i0, i2, i1
     assert r2.item_ids == ("i0", "i2", "i1")
     assert np.array_equal(r2.matrix.toarray(), r.matrix.toarray()[:, [0, 2, 1]])
+
+
+@pytest.mark.parametrize("chunk_bytes", [40, _WRITE_CHUNK_BYTES])
+def test_write_dataset_of_rows_writes_what_a_selected_set_writes(tmp_path, monkeypatch, chunk_bytes):
+    # rows are gathered a chunk at a time, composed with the canonical order
+    monkeypatch.setattr(io, "_WRITE_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(23)
+    users = rng.integers(0, 8, 60)
+    r = InteractionMatrix.from_pairs(zip(users, np.arange(60) % 25), 8, 25)
+    assert canonicalize_dataset(r)[0] is not r  # the rows must be reordered
+    f = FeatureSet.create(
+        [("t", rng.standard_normal((40, 3)).astype(np.float32)), ("v", rng.standard_normal((40, 5)))],
+        {"t": rng.random(40) < 0.3, "v": np.zeros(40, dtype=bool)},
+    )
+    rows = rng.permutation(40)[:25]
+    files = write_dataset(tmp_path / "rows", r, f, rows)
+    assert write_dataset(tmp_path / "set", r, f.select(rows)) == files
+    for name in ["interactions.tsv", *files["features"].values()]:
+        assert (tmp_path / "rows" / name).read_bytes() == (tmp_path / "set" / name).read_bytes()
+
+
+def test_write_dataset_checks_only_the_rows_it_writes(tmp_path):
+    # canonical order is items 0, 2, 1; row 3 holds a value beyond float32
+    r = InteractionMatrix.from_pairs([(0, 2), (0, 0), (1, 1)], 2, 3)
+    matrix = np.arange(8.0).reshape(4, 2)
+    matrix[3, 1] = 1e39
+    f = feature_set(matrix, [False] * 4)
+    write_dataset(tmp_path / "ok", r, f, [2, 0, 1])
+    assert read_feature_matrix(tmp_path / "ok" / "m.fmat").tolist() == matrix[[2, 1, 0]].tolist()
+    with pytest.raises(FormatError, match=r"m\.fmat: refusing to write values"):
+        write_dataset(tmp_path / "bad", r, f, [2, 0, 3])
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("rows", [[0, 1], [0, 1, 2, 0], [[0, 1, 2]], [0, -1, 2], [0, 1, 4]])
+def test_write_dataset_refuses_rows_that_do_not_name_a_row_per_item(tmp_path, rows):
+    r = InteractionMatrix.from_pairs([(0, 2), (0, 0), (1, 1)], 2, 3)
+    f = feature_set(np.ones((4, 2)), [False] * 4)
+    with pytest.raises(InconsistentData, match="name one of the 4 feature rows for each of 3 items"):
+        write_dataset(tmp_path / "ds", r, f, rows)
+    assert not (tmp_path / "ds").exists()
 
 
 def test_write_dataset_rejects_isolated_items(tmp_path):

@@ -103,7 +103,8 @@ def test_drop_missing_float32_matches_float64_widening(tmp_path):
         if isinstance(want[0], str):  # an error
             assert got == want
             continue
-        (r64, p64, before64, after64), (r32, p32, before32, after32) = want, got
+        (r64, items64, before64, after64), (r32, items32, before32, after32) = want, got
+        p64, p32 = f64.select(items64), f32.select(items32)
         assert (before32, after32) == (before64, after64)
         assert r32.user_ids == r64.user_ids and r32.item_ids == r64.item_ids
         assert (r32.matrix != r64.matrix).nnz == 0
@@ -159,8 +160,8 @@ def test_load_feature_set_is_float32(tmp_path):
     assert f.matrices["t"].dtype == np.float32
     assert f.matrices["t"].flags.c_contiguous
     assert f.matrices["t"].tobytes() == np.array([[0.1], [0.0], [0.3]], dtype=np.float32).tobytes()
-    _, pruned, _, _ = drop_missing(r, f)
-    assert pruned.matrices["t"].dtype == np.float32
+    _, items, _, _ = drop_missing(r, f)
+    assert f.select(items).matrices["t"].dtype == np.float32
 
 
 @pytest.mark.parametrize(
