@@ -16,7 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyDataset, InvalidParameter, MmImputeError
-from .features import ALPHA_METHODS, FeatureSet, GRAPH_METHODS, ImputeConfig, check_row_count, check_seed
+from .features import (
+    ALPHA_METHODS, FeatureSet, GRAPH_METHODS, ImputeConfig, check_row_count, check_seed, row_blocks,
+)
 from .graph import InteractionMatrix, ItemGraph, cooccurrence, first_appearance_order
 from .imputers import _ppr_solves, impute
 
@@ -186,10 +188,6 @@ def _modality_metrics(m: str, got: np.ndarray, want: np.ndarray) -> ModalityMetr
     return ModalityMetrics(rmse, mean_cosine, len(got), excluded)
 
 
-# Edge uniforms `synth_generate` draws at once (8 bytes each), in whole user rows.
-SYNTH_BLOCK_ENTRIES = 2**18
-
-
 def check_synth_params(
     n_users: int,
     n_items: int,
@@ -217,6 +215,18 @@ def check_synth_params(
             raise InvalidParameter(f"modality '{name}': dimension must be positive")
 
 
+def _partners(nodes: np.ndarray, n_communities: int, n_other: int) -> np.ndarray:
+    """For each node, a node of the other side in its community, or else `node % n_other`.
+
+    Both sides are assigned round-robin, so community c holds nodes c, c + C, ...
+    of each; the j-th node of c is paired with the (j mod size)-th of the other side.
+    """
+    community = nodes % n_communities
+    size = (n_other - community + n_communities - 1) // n_communities
+    member = community + n_communities * (nodes // n_communities % np.maximum(size, 1))
+    return np.where(size > 0, member, nodes % n_other)
+
+
 def synth_generate(
     n_users: int,
     n_items: int,
@@ -235,24 +245,33 @@ def synth_generate(
     modality) plus gaussian noise. The draw order is fixed: edge uniforms
     first, one per (user, item) in row-major order, then per modality
     centroids and noise, so a seed pins the whole dataset. The uniforms
-    are drawn `SYNTH_BLOCK_ENTRIES` at a time in whole user rows, which
+    are drawn a `features.row_blocks` block of user rows at a time, which
     takes the same values from the stream as one users x items draw.
+
+    If any edge is sampled, every item and user gets one, so the dataset
+    can be written: an item that drew no edge is given one to a user of
+    its community (or user `i % n_users` if the community has none), and
+    then a user left without one an edge to an item of its community (or
+    item `u % n_items`). These edges draw nothing from the stream, so a
+    dataset in which every item and user drew an edge is unchanged.
     """
     check_synth_params(n_users, n_items, n_communities, p_in, p_out, dims, noise_sigma, seed)
     rng = np.random.default_rng(seed)
     community_u = np.arange(n_users) % n_communities
     community_i = np.arange(n_items) % n_communities
-    block = max(1, SYNTH_BLOCK_ENTRIES // n_items)
     rows, cols = [], []
-    for lo in range(0, n_users, block):
-        users = community_u[lo:lo + block]
-        prob = np.where(users[:, None] == community_i[None, :], p_in, p_out)
+    for users in row_blocks(n_users, n_items):
+        prob = np.where(community_u[users, None] == community_i[None, :], p_in, p_out)
         block_rows, block_cols = np.nonzero(rng.random(prob.shape) < prob)
-        rows.append(block_rows + lo)
+        rows.append(block_rows + users.start)
         cols.append(block_cols)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     if rows.size == 0:
         raise EmptyDataset("no interactions were sampled; raise p_in/p_out or the sizes")
+    lone = np.flatnonzero(np.bincount(cols, minlength=n_items) == 0)
+    rows, cols = np.append(rows, _partners(lone, n_communities, n_users)), np.append(cols, lone)
+    lone = np.flatnonzero(np.bincount(rows, minlength=n_users) == 0)
+    rows, cols = np.append(rows, lone), np.append(cols, _partners(lone, n_communities, n_items))
     r = InteractionMatrix.from_pairs(np.column_stack((rows, cols)), n_users, n_items)
     matrices = []
     for name, dim in dims:
@@ -344,7 +363,9 @@ def run_sweep(
                 raise
             for hops, cfg, (metrics, details) in zip(hop_values, cfgs, scored):
                 rows.append({
-                    "grid_index": len(rows), "method": method, "top_k": top_k, "hops": hops,
+                    "grid_index": len(rows), "method": method,
+                    "top_k": None if top_k is None else cfg.top_k,
+                    "hops": None if hops is None else cfg.hops,
                     "alpha": alpha if method in ALPHA_METHODS else None, "run_seed": cfg.seed,
                     "metrics": metrics, "modalities": details,
                 })

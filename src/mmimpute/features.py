@@ -15,14 +15,21 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InconsistentData, InvalidParameter
-from .graph import InteractionMatrix, check_alpha, check_top_k
+from .graph import InteractionMatrix, check_alpha, check_integer, check_top_k
 
 METHODS = ("zeros", "random", "global-mean", "neigh-mean", "multihop", "pers-pagerank")
 GRAPH_METHODS = ("neigh-mean", "multihop", "pers-pagerank")
 ALPHA_METHODS = ("pers-pagerank",)  # the methods that read `alpha`
 FALLBACKS = ("zeros", "global-mean")
-# Matrix entries `validate` checks at a time, which bounds its temporaries.
-_VALIDATE_CHUNK = 2**18
+# Matrix entries a row-blocked pass (`row_blocks`) takes at a time, which
+# bounds its temporaries.
+ROW_BLOCK_ENTRIES = 2**18
+
+
+def row_blocks(n_rows: int, width: int):
+    """Slices of `ROW_BLOCK_ENTRIES // width` rows (at least one) covering `n_rows`."""
+    step = max(1, ROW_BLOCK_ENTRIES // max(width, 1))
+    return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,16 +133,20 @@ def check_modality_name(name: str):
         )
 
 
-def check_seed(seed: int):
-    """Raise InvalidParameter unless `seed` fits an unsigned 64-bit integer."""
+def check_seed(seed: int) -> int:
+    """`seed` as an int; InvalidParameter unless it fits an unsigned 64-bit integer."""
+    seed = check_integer(seed, "seed")
     if not (0 <= seed < 2**64):
         raise InvalidParameter("seed must be an unsigned 64-bit integer")
+    return seed
 
 
-def check_hops(hops: int):
-    """Raise InvalidParameter unless `hops` asks for at least one propagation step."""
+def check_hops(hops: int) -> int:
+    """`hops` as an int; InvalidParameter unless it asks for at least one propagation step."""
+    hops = check_integer(hops, "hops")
     if hops < 1:
         raise InvalidParameter(f"hops must be at least 1, got {hops}")
+    return hops
 
 
 def check_cold_fallback(fallback: str):
@@ -159,7 +170,9 @@ class ImputeConfig:
     items are filled, `iter_tolerance` when a personalized-PageRank fixed
     point has converged, and `clamp` whether observed rows are re-pinned
     after every hop. The field defaults are the package's defaults: the
-    command line, `run_sweep` and the imputers read them from here.
+    command line, `run_sweep` and the imputers read them from here. The
+    counts `top_k`, `hops` and `seed` must be integers, and are held as
+    Python ints, so a numpy integer given for one serializes to JSON.
     """
 
     method: str
@@ -176,10 +189,10 @@ class ImputeConfig:
             raise InvalidParameter(
                 f"unknown method '{self.method}'; expected one of {', '.join(METHODS)}"
             )
-        check_top_k(self.top_k)
-        check_hops(self.hops)
+        object.__setattr__(self, "top_k", check_top_k(self.top_k))
+        object.__setattr__(self, "hops", check_hops(self.hops))
         check_alpha(self.alpha)
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         check_cold_fallback(self.cold_fallback)
         check_iter_tolerance(self.iter_tolerance)
 
@@ -218,8 +231,8 @@ def validate(f: FeatureSet, r: InteractionMatrix) -> ValidationReport:
 
     Checks row counts against the interaction matrix, finiteness of
     observed rows, and the all-zero placeholder contract of masked rows.
-    Rows are checked `_VALIDATE_CHUNK` entries at a time, so no
-    temporary the size of a matrix is made.
+    Rows are checked a `row_blocks` block at a time, so no temporary the
+    size of a matrix is made.
     """
     problems: list[str] = []
     try:
@@ -230,11 +243,9 @@ def validate(f: FeatureSet, r: InteractionMatrix) -> ValidationReport:
         mat, mask = f.matrices[m], f.masks[m]
         finite = np.empty(mat.shape[0], dtype=bool)
         nonzero = np.empty(mat.shape[0], dtype=bool)
-        step = max(1, _VALIDATE_CHUNK // max(mat.shape[1], 1))
-        for lo in range(0, mat.shape[0], step):
-            block = mat[lo:lo + step]
-            finite[lo:lo + step] = np.isfinite(block).all(axis=1)
-            nonzero[lo:lo + step] = (block != 0.0).any(axis=1)
+        for rows in row_blocks(*mat.shape):
+            finite[rows] = np.isfinite(mat[rows]).all(axis=1)
+            nonzero[rows] = (mat[rows] != 0.0).any(axis=1)
         bad_finite = np.flatnonzero(~mask & ~finite)
         if bad_finite.size:
             problems.append(

@@ -9,6 +9,7 @@ diffusion operators over the top-k sparsified binary graph.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -419,10 +420,20 @@ def _require_binary(g: ItemGraph):
         raise InvalidParameter("a binary (sparsified) item graph is required")
 
 
-def check_top_k(top_k: int):
-    """Raise InvalidParameter unless `top_k` keeps at least one edge per row."""
+def check_integer(value, name: str) -> int:
+    """`value` as a Python int (`operator.index`); InvalidParameter if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_top_k(top_k: int) -> int:
+    """`top_k` as an int; InvalidParameter unless it keeps at least one edge per row."""
+    top_k = check_integer(top_k, "top_k")
     if top_k < 1:
         raise InvalidParameter(f"top_k must be at least 1, got {top_k}")
+    return top_k
 
 
 def check_alpha(alpha: float):

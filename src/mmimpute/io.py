@@ -18,11 +18,17 @@ written without conversion.
 Feature rows are keyed by item index, i.e. by first appearance of the
 item id in the interactions file. `write_dataset` writes in the
 canonical order owned by `graph.first_appearance_order`, so a written
-dataset re-reads with identical indexing. An input that cannot be read
-raises ParseError (text) or FormatError (.fmat). A feature set with a
-value that does not fit float32 is refused before any of its files, or
-the interactions written with it, is created, and so is an id that
-would not read back as itself (`_check_ids`).
+dataset re-reads with identical indexing. It is the only code that puts
+a dataset in canonical order: it composes the order into the feature
+rows it gathers as it writes, and no reordered copy is made. (To reorder
+in memory, take `order = first_appearance_order(r.matrix)`, then
+`r.select(np.arange(r.n_users), order)` and `f.select(order)`.)
+Payloads are gathered, checked and written one `features.row_blocks`
+block, 2^18 entries, at a time. An input that cannot be read raises
+ParseError (text) or FormatError (.fmat). A feature set with a value
+that does not fit float32 is refused before any of its files, or the
+interactions written with it, is created, and so is an id that would
+not read back as itself (`_check_ids`).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .errors import (
     UnknownItem,
     UnknownModality,
 )
-from .features import FeatureSet, check_modality_name, check_row_count
+from .features import FeatureSet, check_modality_name, check_row_count, row_blocks
 from .graph import InteractionMatrix, first_appearance_order, interactions_from_ids
 
 FEATURE_MAGIC = b"FMATv1\x00\x00"
@@ -52,8 +58,6 @@ _HEADER = struct.Struct("<8sQQ")
 # The least magnitude that rounds to float32 infinity: halfway between the
 # float32 maximum (2^128 - 2^104) and 2^128, where round-to-even goes up.
 _FLOAT32_LIMIT = 2.0**128 - 2.0**103
-# Payload bytes gathered, checked and written at a time (`_row_chunks`).
-_WRITE_CHUNK_BYTES = 2**20
 # Interaction lines formatted and written at a time by `write_interactions`.
 _WRITE_CHUNK_LINES = 2**14
 
@@ -244,16 +248,15 @@ def write_feature_matrix(path, matrix: np.ndarray):
 
 
 def _row_chunks(matrix: np.ndarray, rows=None):
-    """Indexes into `matrix` of `_WRITE_CHUNK_BYTES` of float32 payload each.
+    """Indexes into `matrix`, one per `features.row_blocks` block of the rows written.
 
     Without `rows` these are slices over all rows, in order; with it,
     pieces of `rows`. Each chunk is gathered by its user and dropped before
     the next, so at most one is held.
     """
     n_rows = matrix.shape[0] if rows is None else len(rows)
-    step = max(1, _WRITE_CHUNK_BYTES // (4 * max(matrix.shape[1], 1)))
-    for lo in range(0, n_rows, step):
-        yield slice(lo, lo + step) if rows is None else rows[lo:lo + step]
+    for block in row_blocks(n_rows, matrix.shape[1]):
+        yield block if rows is None else rows[block]
 
 
 def _check_float32(path, matrix: np.ndarray, rows=None):
@@ -378,29 +381,15 @@ def _canonical_order(r: InteractionMatrix) -> np.ndarray | None:
     return None if (order == np.arange(r.n_items)).all() else order
 
 
-def canonicalize_dataset(
-    r: InteractionMatrix, f: FeatureSet | None = None
-) -> tuple[InteractionMatrix, FeatureSet | None]:
-    """Reindex items into canonical order (`first_appearance_order`).
-
-    A dataset in canonical order survives a write/read cycle with
-    identical indexing and is returned as is. Items or users without
-    interactions cannot be represented in the interaction file and are
-    rejected.
-    """
-    order = _canonical_order(r)
-    if order is None:
-        return r, f
-    return r.select(np.arange(r.n_users), order), None if f is None else f.select(order)
-
-
 def write_dataset(directory, r: InteractionMatrix, f: FeatureSet, rows=None) -> dict:
     """Write feature files plus interactions in canonical index order.
 
     `rows[i]`, when given, is the row of `f` that holds item i of `r`
-    (the `items` that `evaluate.drop_missing` returns); without it, row
-    i does. Rows are gathered in canonical order as they are written,
-    so no reordered copy of the features is made. The ids (`_check_ids`)
+    (the `items` that `evaluate.drop_missing` returns); `rows` must be
+    integers, one in-range row per item. Without it, row i does. This is
+    the one place a dataset is put in canonical order: the order is
+    composed into the rows gathered as they are written, so no reordered
+    copy of the features is made. The ids (`_check_ids`)
     are checked first and the features written next, so ids or a
     feature set that `write_feature_set` refuses leave no file behind.
     """
@@ -408,7 +397,7 @@ def write_dataset(directory, r: InteractionMatrix, f: FeatureSet, rows=None) -> 
         check_row_count(f, r)
     else:
         rows = np.asarray(rows)
-        if rows.shape != (r.n_items,) or rows.size and not (
+        if rows.dtype.kind not in "iu" or rows.shape != (r.n_items,) or rows.size and not (
             0 <= rows.min() and rows.max() < f.n_items
         ):
             raise InconsistentData(

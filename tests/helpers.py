@@ -475,7 +475,8 @@ def lexsort_drop_reindex(r, f):
 def unique_canonicalize(r, f):
     """Canonical reindex through `np.unique` and zipped index pairs.
 
-    The reference `canonicalize_dataset` must match array for array.
+    The files `io.write_dataset(directory, r, f)` writes must hold this
+    dataset byte for byte, and its errors must match.
     """
     counts_u = np.diff(r.matrix.indptr)
     if (counts_u == 0).any():

@@ -315,6 +315,21 @@ def test_synth_and_evaluate_round_trip(tmp_path, capsys):
         assert set(row["metrics"]) == {"text", "visual"}
 
 
+def test_synth_writes_an_item_that_drew_no_edge(tmp_path):
+    # item i443 draws no edge and is given one to user u443, the 37th of its community 11
+    data = tmp_path / "data"
+    assert main([
+        "synth", "--users", "2000", "--items", "3000", "--communities", "12",
+        "--p-in", "0.05", "--p-out", "0.001", "--dims", "text=64",
+        "--noise-sigma", "0.5", "--seed", "11", "--out", str(data),
+    ]) == 0
+    r = mmimpute.io.read_interactions(data / "interactions.tsv")
+    f = mmimpute.io.load_feature_set([("text", data / "text.fmat")], r)
+    assert (r.n_users, r.n_items, f.dim("text")) == (2000, 3000, 64)
+    item = r.item_ids.index("i443")
+    assert [r.user_ids[u] for u in r.matrix[:, item].nonzero()[0]] == ["u443"]
+
+
 def test_cli_determinism(tmp_path):
     data = tmp_path / "data"
     assert main([

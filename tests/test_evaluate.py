@@ -8,6 +8,7 @@ from mmimpute import (
     EmptyDataset,
     FeatureSet,
     HiddenRows,
+    ImputeConfig,
     InconsistentData,
     InvalidParameter,
     METHODS,
@@ -15,14 +16,15 @@ from mmimpute import (
     build_interaction_matrix,
     dataset_stats,
     drop_missing,
+    impute,
     mask_features,
     reconstruction_metrics,
     run_sweep,
     synth_generate,
 )
-from mmimpute import evaluate
+from mmimpute import evaluate, features, io
 from mmimpute.graph import InteractionMatrix, cooccurrence, ppr_iterative, topk_sparsify
-from mmimpute.io import canonicalize_dataset, write_interactions
+from mmimpute.io import FEATURE_MAGIC, _HEADER, write_dataset
 
 from helpers import (
     entries,
@@ -236,15 +238,21 @@ def test_reindex_matches_pair_oracles(tmp_path):
         else:
             assert_same_dataset(got, want)
 
+        # write_dataset reorders as it writes: its files hold the oracle's dataset
         want = outcome(unique_canonicalize, r, f)
-        got = outcome(canonicalize_dataset, r, f)
+        got = outcome(write_dataset, tmp_path / str(case), r, f)
         if isinstance(want[0], type):
             assert got == want
             continue
-        assert_same_dataset(got, want)
-        seen["reordered"] += got[0] is not r
-        write_interactions(tmp_path / "r.tsv", got[0])
-        assert (tmp_path / "r.tsv").read_text(encoding="utf-8") == entry_lines(got[0])
+        r2, f2 = want
+        assert got["features"] == {m: f"{m}.fmat" for m in f2.modalities}
+        seen["reordered"] += r2 is not r
+        written = tmp_path / str(case)
+        assert (written / "interactions.tsv").read_text(encoding="utf-8") == entry_lines(r2)
+        for m, mat in f2.matrices.items():
+            assert (written / f"{m}.fmat").read_bytes() == (
+                _HEADER.pack(FEATURE_MAGIC, *mat.shape) + mat.astype("<f4").tobytes()
+            )
     assert min(seen.values()) >= 10, seen
 
 
@@ -258,10 +266,7 @@ def test_drop_output_is_canonical():
         if (masks["text"] | masks["visual"]).all():
             continue
         f = FeatureSet.create(matrices, masks)
-        r2, items, _, _ = drop_missing(r, f)
-        f2 = f.select(items)
-        r3, f3 = canonicalize_dataset(r2, f2)
-        assert r3 is r2 and f3 is f2
+        assert io._canonical_order(drop_missing(r, f)[0]) is None
 
 
 def test_mask_features_counts_and_determinism():
@@ -355,9 +360,9 @@ def synth_bytes(*args):
 def test_synth_does_not_depend_on_the_draw_block(monkeypatch, entries):
     # one user row per block, a few rows with a remainder, and one draw
     args = (301, 171, 7, 0.3, 0.02, [("x", 3), ("y", 5)], 0.2, 9)
-    monkeypatch.setattr(evaluate, "SYNTH_BLOCK_ENTRIES", 10**9)
+    monkeypatch.setattr(features, "ROW_BLOCK_ENTRIES", 10**9)
     whole = synth_bytes(*args)
-    monkeypatch.setattr(evaluate, "SYNTH_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(features, "ROW_BLOCK_ENTRIES", entries)
     assert synth_bytes(*args) == whole
 
 
@@ -422,6 +427,17 @@ def test_run_sweep_grid_shape():
     zeros_row = rows[0]
     assert zeros_row["top_k"] is None and zeros_row["hops"] is None
     assert all(row["metrics"]["m"]["n_evaluated"] > 0 for row in rows)
+
+
+def test_reports_and_sweep_rows_of_numpy_integers_serialize():
+    # counts are held as Python ints, so json.dumps takes the report and the rows
+    r, f = synth_generate(60, 30, 3, 0.5, 0.05, [("m", 8)], 0.1, seed=4)
+    cfg = ImputeConfig(method="multihop", top_k=np.int64(5), hops=np.int32(2), seed=np.uint64(3))
+    assert [type(v) for v in (cfg.top_k, cfg.hops, cfg.seed)] == [int, int, int]
+    json.dumps(impute(mask_features(f, 0.2, seed=1)[0], r, cfg)[1])
+    rows = run_sweep(r, f, ["neigh-mean", "multihop"], np.array([5]), np.array([1, 2]), 0.2, np.int64(0))
+    json.dumps(rows)
+    assert [(row["top_k"], row["hops"]) for row in rows] == [(5, None), (5, 1), (5, 2)]
 
 
 def test_run_sweep_unknown_method():

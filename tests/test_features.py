@@ -12,6 +12,7 @@ from mmimpute import (
     build_interaction_matrix,
     validate,
 )
+from mmimpute import features
 from mmimpute.graph import InteractionMatrix
 
 from helpers import feature_set
@@ -21,7 +22,7 @@ def three_item_dataset():
     return build_interaction_matrix([("u1", "a"), ("u1", "b"), ("u2", "c")])
 
 
-def test_validate_checks_rows_a_chunk_at_a_time():
+def test_validate_checks_rows_a_chunk_at_a_time(monkeypatch):
     # two 20,000 x 512 bool temporaries would take 20 MB
     n, dim = 20000, 512
     r = InteractionMatrix.from_pairs([(0, i) for i in range(n)], 1, n)
@@ -42,6 +43,10 @@ def test_validate_checks_rows_a_chunk_at_a_time():
         f"modality 'm': non-finite values in observed rows {n - 1}",
         f"modality 'm': masked rows are not zero placeholders: {n - 2}",
     )
+    # blocks of one row, and a last block that is cut short, give the same report
+    for entries in (1, 3 * dim):
+        monkeypatch.setattr(features, "ROW_BLOCK_ENTRIES", entries)
+        assert validate(f, r) == report
 
 
 def test_validate_consistent():
@@ -137,6 +142,10 @@ def test_feature_set_shape_checks():
         {"method": "zeros", "iter_tolerance": 0.0},
         {"method": "zeros", "iter_tolerance": float("nan")},
         {"method": "zeros", "iter_tolerance": float("inf")},
+        {"method": "multihop", "hops": 2.5},
+        {"method": "multihop", "top_k": 2.5},
+        {"method": "random", "seed": 1.5},
+        {"method": "multihop", "hops": np.float64(2.0)},
     ],
 )
 def test_impute_config_validation(kwargs):

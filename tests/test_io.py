@@ -17,13 +17,12 @@ from mmimpute import (
     UnknownModality,
     build_interaction_matrix,
 )
-from mmimpute import graph, io
+from mmimpute import features, graph, io
+from mmimpute.features import ROW_BLOCK_ENTRIES
 from mmimpute.graph import InteractionMatrix
 from mmimpute.io import (
-    _WRITE_CHUNK_BYTES,
     FEATURE_MAGIC,
     _HEADER,
-    canonicalize_dataset,
     load_feature_set,
     read_feature_matrix,
     read_interactions,
@@ -222,14 +221,14 @@ def test_write_dataset_round_trip(tmp_path):
     assert np.array_equal(r2.matrix.toarray(), r.matrix.toarray()[:, [0, 2, 1]])
 
 
-@pytest.mark.parametrize("chunk_bytes", [40, _WRITE_CHUNK_BYTES])
+@pytest.mark.parametrize("chunk_bytes", [40, 4 * ROW_BLOCK_ENTRIES])
 def test_write_dataset_of_rows_writes_what_a_selected_set_writes(tmp_path, monkeypatch, chunk_bytes):
-    # rows are gathered a chunk at a time, composed with the canonical order
-    monkeypatch.setattr(io, "_WRITE_CHUNK_BYTES", chunk_bytes)
+    # rows are gathered a chunk of float32 payload at a time, composed with the canonical order
+    monkeypatch.setattr(features, "ROW_BLOCK_ENTRIES", chunk_bytes // 4)
     rng = np.random.default_rng(23)
     users = rng.integers(0, 8, 60)
     r = InteractionMatrix.from_pairs(zip(users, np.arange(60) % 25), 8, 25)
-    assert canonicalize_dataset(r)[0] is not r  # the rows must be reordered
+    assert io._canonical_order(r) is not None  # the rows must be reordered
     f = FeatureSet.create(
         [("t", rng.standard_normal((40, 3)).astype(np.float32)), ("v", rng.standard_normal((40, 5)))],
         {"t": rng.random(40) < 0.3, "v": np.zeros(40, dtype=bool)},
@@ -254,7 +253,10 @@ def test_write_dataset_checks_only_the_rows_it_writes(tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
-@pytest.mark.parametrize("rows", [[0, 1], [0, 1, 2, 0], [[0, 1, 2]], [0, -1, 2], [0, 1, 4]])
+@pytest.mark.parametrize(
+    "rows",
+    [[0, 1], [0, 1, 2, 0], [[0, 1, 2]], [0, -1, 2], [0, 1, 4], [True, False, True], [0.0, 1.0, 2.0]],
+)
 def test_write_dataset_refuses_rows_that_do_not_name_a_row_per_item(tmp_path, rows):
     r = InteractionMatrix.from_pairs([(0, 2), (0, 0), (1, 1)], 2, 3)
     f = feature_set(np.ones((4, 2)), [False] * 4)
@@ -272,8 +274,7 @@ def test_write_dataset_rejects_isolated_items(tmp_path):
 
 def test_canonicalize_identity_for_file_data(tmp_path):
     r = interactions_abc(tmp_path)
-    r2, _ = canonicalize_dataset(r)
-    assert r2 is r
+    assert io._canonical_order(r) is None
 
 
 def test_write_interactions_round_trip(tmp_path):
@@ -478,7 +479,7 @@ def test_feature_matrix_is_converted_a_chunk_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * _WRITE_CHUNK_BYTES
+    assert peak < 2 * 4 * ROW_BLOCK_ENTRIES  # two blocks of float32 payload
     assert path.read_bytes() == _HEADER.pack(FEATURE_MAGIC, 4001, 300) + matrix.astype("<f4").tobytes()
     write_feature_matrix(path, np.zeros((3, 0)))
     assert read_feature_matrix(path).shape == (3, 0)
@@ -530,14 +531,16 @@ def test_write_feature_matrix_refuses_a_1d_array(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_canonicalize_dataset_without_features_reorders_the_items():
+def test_write_dataset_reorders_the_items(tmp_path):
     # item "b" appears first in the entry stream but has index 1
     r = InteractionMatrix.from_pairs([(0, 1), (1, 0)], 2, 2, item_ids=("a", "b"))
-    canonical, features = canonicalize_dataset(r)
-    assert features is None
+    assert io._canonical_order(r).tolist() == [1, 0]
+    write_dataset(tmp_path, r, feature_set([[1.0], [2.0]], [False, False]))
+    canonical = read_interactions(tmp_path / "interactions.tsv")
     assert canonical.item_ids == ("b", "a")
     assert canonical.user_ids == r.user_ids
     assert canonical.matrix.toarray().tolist() == [[1, 0], [0, 1]]
+    assert read_feature_matrix(tmp_path / "m.fmat").tolist() == [[2.0], [1.0]]
 
 
 @pytest.mark.parametrize(
