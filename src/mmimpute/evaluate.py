@@ -3,7 +3,8 @@
 The "drop" pipeline removes items with any missing modality (then
 dangling interactions and orphaned users), which is the baseline the
 imputers are an alternative to; the survivors come out in the canonical
-item order of `graph.first_appearance_order`. The mask-and-recover
+item order of `graph.first_appearance_order`, except that a dataset
+with nothing to drop comes back as it was. The mask-and-recover
 harness hides a fraction of observed rows, imputes them, and scores
 reconstruction fidelity per modality.
 """
@@ -19,7 +20,7 @@ from .errors import EmptyDataset, InvalidParameter, MmImputeError
 from .features import (
     ALPHA_METHODS, FeatureSet, GRAPH_METHODS, ImputeConfig, check_row_count, check_seed, row_blocks,
 )
-from .graph import InteractionMatrix, ItemGraph, cooccurrence, first_appearance_order
+from .graph import InteractionMatrix, ItemGraph, check_integer, cooccurrence, first_appearance_order
 from .imputers import _ppr_solves, impute
 
 
@@ -81,6 +82,9 @@ def drop_missing(
     (`graph.first_appearance_order`), so a pruned dataset
     written to disk re-reads with identical indexing; items that had no
     interactions to begin with keep their relative order at the end.
+    When nothing is dropped, `r` itself comes back with `items` equal to
+    `arange(r.n_items)`, in `r`'s order, which need not be canonical
+    (`io.write_dataset` still writes it in canonical order).
     Returns the pruned interactions, `items` (the index in `r` and `f` of
     each surviving item, in the new order) and before/after stats. No
     feature row is copied: `f.select(items)` is the pruned feature set,
@@ -198,7 +202,16 @@ def check_synth_params(
     noise_sigma: float,
     seed: int,
 ):
-    """Raise InvalidParameter unless `synth_generate` accepts these arguments."""
+    """Raise InvalidParameter unless `synth_generate` accepts these arguments.
+
+    The sizes, the community count and each dimension must be integers
+    (`graph.check_integer`).
+    """
+    for value, name in ((n_users, "n_users"), (n_items, "n_items"),
+                        (n_communities, "n_communities")):
+        check_integer(value, name)
+    for name, dim in dims:
+        check_integer(dim, f"modality '{name}': dimension")
     if n_users < 1 or n_items < 1:
         raise InvalidParameter("n_users and n_items must be positive")
     if n_communities < 1:

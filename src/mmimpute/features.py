@@ -32,6 +32,15 @@ def row_blocks(n_rows: int, width: int):
     return (slice(lo, lo + step) for lo in range(0, n_rows, step))
 
 
+def row_extremes(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's least and greatest value, 0.0 included, read in place.
+
+    A NaN makes both of its row's extremes NaN, so a row is finite when
+    both are, and holds only zeros when both are zero.
+    """
+    return mat.min(axis=1, initial=0.0), mat.max(axis=1, initial=0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureSet:
     """Dense per-modality feature matrices over a shared item axis.
@@ -231,8 +240,8 @@ def validate(f: FeatureSet, r: InteractionMatrix) -> ValidationReport:
 
     Checks row counts against the interaction matrix, finiteness of
     observed rows, and the all-zero placeholder contract of masked rows.
-    Rows are checked a `row_blocks` block at a time, so no temporary the
-    size of a matrix is made.
+    Both row checks read `row_extremes`, so no temporary the size of a
+    matrix is made.
     """
     problems: list[str] = []
     try:
@@ -240,18 +249,14 @@ def validate(f: FeatureSet, r: InteractionMatrix) -> ValidationReport:
     except InconsistentData as exc:
         problems.append(str(exc))
     for m in f.modalities:
-        mat, mask = f.matrices[m], f.masks[m]
-        finite = np.empty(mat.shape[0], dtype=bool)
-        nonzero = np.empty(mat.shape[0], dtype=bool)
-        for rows in row_blocks(*mat.shape):
-            finite[rows] = np.isfinite(mat[rows]).all(axis=1)
-            nonzero[rows] = (mat[rows] != 0.0).any(axis=1)
-        bad_finite = np.flatnonzero(~mask & ~finite)
+        mask = f.masks[m]
+        lo, hi = row_extremes(f.matrices[m])
+        bad_finite = np.flatnonzero(~mask & ~(np.isfinite(lo) & np.isfinite(hi)))
         if bad_finite.size:
             problems.append(
                 f"modality '{m}': non-finite values in observed rows {_format_indices(bad_finite)}"
             )
-        bad_zero = np.flatnonzero(mask & nonzero)
+        bad_zero = np.flatnonzero(mask & ((lo != 0.0) | (hi != 0.0)))
         if bad_zero.size:
             problems.append(
                 f"modality '{m}': masked rows are not zero placeholders: {_format_indices(bad_zero)}"

@@ -32,6 +32,7 @@ from .features import (
     check_hops,
     check_iter_tolerance,
     check_row_count,
+    check_seed,
 )
 from .graph import (
     MODE_SYM,
@@ -115,9 +116,9 @@ def impute_random(f: FeatureSet, seed: int) -> FeatureSet:
 
     The draw order is fixed (modalities in declared order, masked items by
     ascending index, then columns), so the output does not depend on how
-    rows are traversed.
+    rows are traversed. `seed` must pass `features.check_seed`.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     out = {}
     for m in f.modalities:
         x = f.matrices[m].astype(np.float64)

@@ -23,8 +23,9 @@ a dataset in canonical order: it composes the order into the feature
 rows it gathers as it writes, and no reordered copy is made. (To reorder
 in memory, take `order = first_appearance_order(r.matrix)`, then
 `r.select(np.arange(r.n_users), order)` and `f.select(order)`.)
-Payloads are gathered, checked and written one `features.row_blocks`
-block, 2^18 entries, at a time. An input that cannot be read raises
+Values are checked by each written row's `features.row_extremes`, and
+payloads gathered and written one `features.row_blocks` block, 2^18
+entries, at a time. An input that cannot be read raises
 ParseError (text) or FormatError (.fmat). A feature set with a value
 that does not fit float32 is refused before any of its files, or the
 interactions written with it, is created, and so is an id that would
@@ -50,7 +51,7 @@ from .errors import (
     UnknownItem,
     UnknownModality,
 )
-from .features import FeatureSet, check_modality_name, check_row_count, row_blocks
+from .features import FeatureSet, check_modality_name, check_row_count, row_blocks, row_extremes
 from .graph import InteractionMatrix, first_appearance_order, interactions_from_ids
 
 FEATURE_MAGIC = b"FMATv1\x00\x00"
@@ -247,50 +248,34 @@ def write_feature_matrix(path, matrix: np.ndarray):
     _write_payload(path, arr)
 
 
-def _row_chunks(matrix: np.ndarray, rows=None):
-    """Indexes into `matrix`, one per `features.row_blocks` block of the rows written.
-
-    Without `rows` these are slices over all rows, in order; with it,
-    pieces of `rows`. Each chunk is gathered by its user and dropped before
-    the next, so at most one is held.
-    """
-    n_rows = matrix.shape[0] if rows is None else len(rows)
-    for block in row_blocks(n_rows, matrix.shape[1]):
-        yield block if rows is None else rows[block]
-
-
 def _check_float32(path, matrix: np.ndarray, rows=None):
     """Raise FormatError unless every value written rounds to a finite float32.
 
-    Only the rows `_row_chunks(matrix, rows)` names are checked.
-    """
-    for index in _row_chunks(matrix, rows):
-        if not _fits_float32(matrix[index]):
-            raise FormatError(f"{path}: refusing to write values that are not finite at float32")
-
-
-def _fits_float32(chunk: np.ndarray) -> bool:
-    """Whether every value rounds to a finite float32.
-
-    Only the extremes are compared, so no converted copy is made; a NaN
+    Only the rows written, all or `rows`, are checked, by their
+    `features.row_extremes`, so no row is gathered or converted; a NaN
     makes an extreme NaN, which fails both comparisons.
     """
-    return not chunk.size or (
-        -_FLOAT32_LIMIT < float(chunk.min()) and float(chunk.max()) < _FLOAT32_LIMIT
-    )
+    lo, hi = row_extremes(matrix)
+    if rows is not None:
+        lo, hi = lo[rows], hi[rows]
+    # float() first: the limit cast to a float32 extreme's type would overflow
+    if not (-_FLOAT32_LIMIT < float(lo.min(initial=0.0))
+            and float(hi.max(initial=0.0)) < _FLOAT32_LIMIT):
+        raise FormatError(f"{path}: refusing to write values that are not finite at float32")
 
 
 def _write_payload(path, matrix: np.ndarray, rows=None):
-    """The header and the float32 payload of the checked rows `_row_chunks` names.
+    """The header and the float32 payload of the checked rows written, all or `rows`.
 
-    Rows are gathered, converted and written one chunk at a time, so a
-    float64 matrix is never copied whole to float32, nor a selection of
-    rows gathered whole.
+    Rows are gathered, converted and written one `features.row_blocks`
+    block at a time, so a float64 matrix is never copied whole to
+    float32, nor a selection of rows gathered whole.
     """
     n_rows = matrix.shape[0] if rows is None else len(rows)
     with open(path, "wb") as handle:
         handle.write(_HEADER.pack(FEATURE_MAGIC, n_rows, matrix.shape[1]))
-        for index in _row_chunks(matrix, rows):
+        for block in row_blocks(n_rows, matrix.shape[1]):
+            index = block if rows is None else rows[block]
             handle.write(np.ascontiguousarray(matrix[index], dtype="<f4"))
 
 

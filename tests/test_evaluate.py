@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from mmimpute import (
     run_sweep,
     synth_generate,
 )
-from mmimpute import evaluate, features, io
+from mmimpute import evaluate, features, imputers, io
 from mmimpute.graph import InteractionMatrix, cooccurrence, ppr_iterative, topk_sparsify
 from mmimpute.io import FEATURE_MAGIC, _HEADER, write_dataset
 
@@ -403,6 +404,15 @@ def test_synth_parameter_validation():
         synth_generate(10, 10, 2, 0.2, 0.5, [("m", 2)], 0.1, 0)
     with pytest.raises(InvalidParameter):
         synth_generate(0, 10, 2, 0.5, 0.1, [("m", 2)], 0.1, 0)
+    # sizes, the community count and dimensions must be integers
+    for (n_users, n_items, n_communities, dims), message in [
+        ((20.5, 10, 2, [("m", 4)]), "n_users must be an integer, got 20.5"),
+        ((20, 10.0, 2, [("m", 4)]), "n_items must be an integer, got 10.0"),
+        ((20, 10, 2.0, [("m", 4)]), "n_communities must be an integer, got 2.0"),
+        ((20, 10, 2, [("m", 4.5)]), "modality 'm': dimension must be an integer, got 4.5"),
+    ]:
+        with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+            synth_generate(n_users, n_items, n_communities, 0.5, 0.1, dims, 0.1, 0)
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
@@ -508,6 +518,25 @@ def test_run_sweep_matches_per_config_oracle():
             cold_hidden += int(np.isin(idx, [n_items - 2, n_items - 1]).sum())
     assert kinds == {"str", "tuple"}
     assert cold_hidden > 0
+
+
+def test_run_sweep_matches_per_config_oracle_when_the_masked_block_does_not_fit():
+    # 19 of 25 rows of a 1-column modality are masked, so the dense block P
+    # (|M|^2 floats) exceeds 4 n d and each PPR run is cut to one solve per hop
+    rng = np.random.default_rng(5)
+    r = random_interactions(rng, 30, 30)
+    assert r.n_items == 25
+    mask = np.zeros(25, dtype=bool)
+    mask[rng.permutation(25)[:19]] = True
+    f = feature_set(np.where(mask[:, None], 0.0, rng.standard_normal((25, 1))), mask)
+    kwargs = dict(
+        methods=list(METHODS), top_k_grid=[3, 5], hops_grid=[1, 2, 4],
+        hide_fraction=0.5, seed=0, iter_tolerance=1e-6,
+    )
+    assert not imputers._masked_block_fits(mask_features(f, 0.5, 0)[0], "m")
+    want = sweep_outcome(per_config_sweep, r, f, **kwargs)
+    assert isinstance(want, str)
+    assert sweep_outcome(run_sweep, r, f, **kwargs) == want
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from mmimpute import (
     build_interaction_matrix,
     validate,
 )
-from mmimpute import features
 from mmimpute.graph import InteractionMatrix
 
 from helpers import feature_set
@@ -22,7 +21,7 @@ def three_item_dataset():
     return build_interaction_matrix([("u1", "a"), ("u1", "b"), ("u2", "c")])
 
 
-def test_validate_checks_rows_a_chunk_at_a_time(monkeypatch):
+def test_validate_makes_no_matrix_sized_temporary():
     # two 20,000 x 512 bool temporaries would take 20 MB
     n, dim = 20000, 512
     r = InteractionMatrix.from_pairs([(0, i) for i in range(n)], 1, n)
@@ -43,10 +42,6 @@ def test_validate_checks_rows_a_chunk_at_a_time(monkeypatch):
         f"modality 'm': non-finite values in observed rows {n - 1}",
         f"modality 'm': masked rows are not zero placeholders: {n - 2}",
     )
-    # blocks of one row, and a last block that is cut short, give the same report
-    for entries in (1, 3 * dim):
-        monkeypatch.setattr(features, "ROW_BLOCK_ENTRIES", entries)
-        assert validate(f, r) == report
 
 
 def test_validate_consistent():

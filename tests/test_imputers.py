@@ -80,6 +80,8 @@ def test_random_determinism_and_range():
     assert np.array_equal(a.matrices["m"][~masked], c.matrices["m"][~masked])
     assert (a.matrices["m"][masked] >= 0).all()
     assert (a.matrices["m"][masked] < 1).all()
+    with pytest.raises(InvalidParameter, match=r"^seed must be an integer, got 1\.5$"):
+        impute_random(f, seed=1.5)
 
 
 def test_global_mean_two_rows():

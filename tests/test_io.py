@@ -253,6 +253,25 @@ def test_write_dataset_checks_only_the_rows_it_writes(tmp_path):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("dtype, bad", [(np.float32, np.inf), (np.float64, 1e39)])
+def test_refused_write_gathers_no_rows(tmp_path, dtype, bad):
+    # the value beyond float32 is in the last row written; one gathered row
+    # block (1,024 rows of 256 values) would take 1 MiB (float32) or 2 MiB
+    r = InteractionMatrix.from_pairs([(i, i) for i in range(8000)], 8000, 8000)
+    matrix = np.ones((8001, 256), dtype=dtype)
+    matrix[8000, 5] = bad
+    f = FeatureSet.create([("m", matrix)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"m\.fmat: refusing to write values"):
+            write_dataset(tmp_path / "out", r, f, np.arange(1, 8001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, peak
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "rows",
     [[0, 1], [0, 1, 2, 0], [[0, 1, 2]], [0, -1, 2], [0, 1, 4], [True, False, True], [0.0, 1.0, 2.0]],
