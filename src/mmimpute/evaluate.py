@@ -131,8 +131,10 @@ def mask_features(f: FeatureSet, fraction: float, seed: int) -> tuple[FeatureSet
     """Hide floor(fraction * observed) rows per modality, without replacement.
 
     The hidden rows become zero placeholders in the returned copy, which
-    keeps the input's precision; their original values are handed back
-    as float64 ground truth, so scores are computed in float64.
+    keeps the input's precision, as do the imputed rows scored against
+    them; their original values are handed back as float64 ground truth,
+    and scores are computed in float64 from the imputed rows as they are
+    returned and written.
     """
     check_hide_fraction(fraction)
     check_seed(seed)

@@ -1,8 +1,9 @@
 """Per-modality item feature matrices with whole-vector missingness masks.
 
 Matrices keep float32 when they arrive as float32, the precision of the
-on-disk format, so loading, dropping and writing a catalog never widens
-it; any other input is held as float64. Imputers compute in float64.
+on-disk format, so loading, dropping, imputing and writing a catalog
+never widens it; any other input is held as float64. Imputers compute
+only the rows they write in float64, and return the input's precision.
 """
 
 from __future__ import annotations

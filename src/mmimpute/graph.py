@@ -224,10 +224,14 @@ def cooccurrence(r: InteractionMatrix) -> ItemGraph:
     Entry (i, j) is the number of users who interacted with both items,
     obtained as the off-diagonal part of the Gram matrix of the incidence
     columns. The diagonal (per-item popularity) carries no inter-item
-    signal and is discarded.
+    signal and is discarded. The Gram is symmetric, so the arrays of the
+    compressed matrix the product returns are already its CSR arrays:
+    they are taken as they are, not copied by a format conversion.
     """
     m = r.matrix
-    counts = (m.T @ m).tocsr()
+    gram = m.T @ m
+    counts = sp.csr_matrix((gram.data, gram.indices, gram.indptr), shape=gram.shape)
+    del gram
     # in place: every item with an interaction already stores its diagonal
     counts.setdiag(0)
     counts.eliminate_zeros()

@@ -1,20 +1,25 @@
 """Imputation strategies over feature sets.
 
 All imputers are pure: they return a new FeatureSet with every mask
-cleared and leave observed rows equal to their inputs. Outputs are
-float64: each imputer widens its input once, into the working copy it
-fills, so a float32 input gives the same bits as its exact float64
-widening. Masked rows always enter the computation as zero
-placeholders, so items whose neighbors are themselves missing
-contribute nothing to a neighborhood average. The graph-aware
-strategies consume structures from `graph`. Because observed rows never
-change under clamping, the graph methods compute only masked rows:
-neighbor means and clamped hops multiply the operator's masked rows,
-never the whole matrix. A clamped hop after the first is affine in the
-masked rows, x_M <- K x_M + b, so multihop and personalized PageRank
-compute it from the operator's masked block K and the first hop's
-result b. `_fallback_rows` computes the row given to items no hop
-reaches (zeros or the observed mean) once per call, before any hop.
+cleared and leave observed rows equal to their inputs. Each output is
+held at its input's precision: a float32 catalog comes back float32,
+each row an imputer writes rounded once by numpy's cast, the rounding
+the `.fmat` writer applies to float64 rows. Only the rows an imputer
+writes are computed in float64, so a float32 input gives its float64
+widening's outputs rounded to float32. Masked rows always enter the
+computation as zero placeholders, so items whose neighbors are
+themselves missing contribute nothing to a neighborhood average. The
+graph-aware strategies consume structures from `graph`. Because observed
+rows never change under clamping, the graph methods compute only masked
+rows: neighbor means and clamped hops multiply the operator's masked
+rows, never the whole matrix, and keep the masked rows x_M in float64 as
+their only state: an array of their own for a float32 input, the
+output's own masked rows for a float64 one. A clamped hop after the
+first is affine in the masked rows, x_M <- K x_M + b, so multihop and
+personalized PageRank compute it from the operator's masked block K and
+the first hop's result b. `_fallback_rows` computes the row given to
+items no hop reaches (zeros or the observed mean) once per call, before
+any hop.
 """
 
 from __future__ import annotations
@@ -53,8 +58,9 @@ from .graph import (
 # raise DivergentDiffusion.
 FIXED_POINT_STEP_CAP = 500
 
-# Columns of x_M a multihop hop after the first multiplies at a time, so
-# that it holds b and a narrow block rather than all of x_M and K x_M.
+# Columns a multihop or neigh-mean product takes at a time, so that hop 1
+# widens a narrow block of the input rather than the whole modality, and
+# a later hop holds b and a narrow block rather than all of x_M and K x_M.
 MULTIHOP_COLUMNS = 32
 
 # Terms of each entry a dense masked-block product sums per matrix product.
@@ -64,8 +70,8 @@ MULTIHOP_COLUMNS = 32
 DENSE_TERMS = 256
 
 IterationHook = Callable[[str, int, np.ndarray], None]
-# step(x, t) writes hop t's rows of the current matrix x
-Step = Callable[[np.ndarray, int], None]
+# step(state, t) writes hop t's rows into the float64 state, see `_propagate`
+Step = Callable[["_State", int], None]
 # (modality, rows) -> (step, block), see `_propagate`
 RowStep = Callable[[str, np.ndarray | slice], tuple[Step, Callable[[np.ndarray], Step] | None]]
 
@@ -75,11 +81,24 @@ def _cleared(f: FeatureSet, matrices: dict[str, np.ndarray]) -> FeatureSet:
     return FeatureSet(f.modalities, matrices, masks)
 
 
-def _zero_init(f: FeatureSet, modality: str) -> np.ndarray:
-    """The float64 working copy of a matrix, with masked rows zeroed."""
-    x = f.matrices[modality].astype(np.float64)
-    x[f.masks[modality]] = 0.0
-    return x
+def _filled(f: FeatureSet, fill: dict) -> FeatureSet:
+    """Each modality's matrix, copied at its precision, with its masked rows set to `fill[m]`."""
+    out = {}
+    for m in f.modalities:
+        y = f.matrices[m].copy()
+        y[f.masks[m]] = fill[m]
+        out[m] = y
+    return _cleared(f, out)
+
+
+def _store(y: np.ndarray, rows, values: np.ndarray):
+    """`y[rows] = values`, rounded to `y`'s precision.
+
+    A value beyond that range becomes an infinity without a warning; the
+    `.fmat` writer refuses it.
+    """
+    with np.errstate(over="ignore"):
+        y[rows] = values
 
 
 def _fallback_rows(f: FeatureSet, rows: dict[str, np.ndarray], fallback: str) -> dict:
@@ -89,7 +108,8 @@ def _fallback_rows(f: FeatureSet, rows: dict[str, np.ndarray], fallback: str) ->
         if fallback == "global-mean" and to_fill.any():
             if f.masks[m].all():
                 raise NoObservedFeatures(f"modality '{m}' has no observed rows")
-            fill[m] = f.matrices[m][~f.masks[m]].astype(np.float64).mean(axis=0)
+            # summed in float64 without a float64 copy of the observed rows
+            fill[m] = np.mean(f.matrices[m][~f.masks[m]], axis=0, dtype=np.float64)
     return fill
 
 
@@ -108,7 +128,7 @@ def _check_graph(f: FeatureSet, n_items: int):
 
 def impute_zeros(f: FeatureSet) -> FeatureSet:
     """Replace missing rows with zero vectors."""
-    return _cleared(f, {m: _zero_init(f, m) for m in f.modalities})
+    return _filled(f, dict.fromkeys(f.modalities, 0.0))
 
 
 def impute_random(f: FeatureSet, seed: int) -> FeatureSet:
@@ -119,23 +139,12 @@ def impute_random(f: FeatureSet, seed: int) -> FeatureSet:
     rows are traversed. `seed` must pass `features.check_seed`.
     """
     rng = np.random.default_rng(check_seed(seed))
-    out = {}
-    for m in f.modalities:
-        x = f.matrices[m].astype(np.float64)
-        idx = np.flatnonzero(f.masks[m])
-        if idx.size:
-            x[idx] = rng.random((idx.size, f.dim(m)))
-        out[m] = x
-    return _cleared(f, out)
+    return _filled(f, {m: rng.random((int(f.masks[m].sum()), f.dim(m))) for m in f.modalities})
 
 
 def impute_global_mean(f: FeatureSet) -> FeatureSet:
     """Replace missing rows with the column-wise mean of observed rows."""
-    fill = _fallback_rows(f, f.masks, "global-mean")
-    out = {m: _zero_init(f, m) for m in f.modalities}
-    for m, x in out.items():
-        x[f.masks[m]] = fill[m]
-    return _cleared(f, out)
+    return _filled(f, _fallback_rows(f, f.masks, "global-mean"))
 
 
 def impute_neigh_mean(
@@ -158,8 +167,9 @@ def impute_neigh_mean(
         # the determinism contract
         a_rows, deg = g.adjacency[rows], np.maximum(g.degrees[rows], 1)[:, None]
 
-        def step(x, t):
-            x[rows] = (a_rows @ x) / deg
+        def step(state, t):
+            for cols in _columns(state.dim, MULTIHOP_COLUMNS):
+                state[cols] = (a_rows @ state.columns(cols)) / deg
 
         return step, None
 
@@ -167,6 +177,65 @@ def impute_neigh_mean(
     for m, x in out.items():
         x[cold[m]] = fill[m]
     return _cleared(f, out)
+
+
+def _columns(dim: int, width: int):
+    """Slices of `width` columns covering `dim`."""
+    return (slice(lo, lo + width) for lo in range(0, dim, width))
+
+
+class _State:
+    """A run's float64 state: rows `rows` of the current matrix, which its hops compute.
+
+    When `x` is `base`, the state lies in place, `x[rows]`, and `x` is the
+    current matrix: a float64 input's clamped output, whose masked rows
+    are x_M, or an unclamped run's whole matrix (`rows` is `slice(None)`).
+    Otherwise `x` holds the state alone, a float32 input's clamped x_M
+    (|M| x d), and the current matrix is the input `base` with `x` over
+    its rows `rows`.
+    """
+
+    def __init__(self, base: np.ndarray, x: np.ndarray, rows: np.ndarray | slice):
+        self.base, self.x, self.rows = base, x, rows
+        self.at = rows if x is base else slice(None)  # the state's rows of `x`
+        self.dim = base.shape[1]
+
+    def columns(self, cols: slice) -> np.ndarray:
+        """Columns `cols` of the current matrix, as a new C-contiguous float64 array.
+
+        They are widened from `base`, so no state value is read rounded.
+        """
+        v = np.array(self.base[:, cols], dtype=np.float64, order="C")
+        if self.x is not self.base:
+            v[self.rows] = self.x[:, cols]
+        return v
+
+    def __getitem__(self, cols: slice) -> np.ndarray:
+        """Columns `cols` of the state, C-contiguous."""
+        return np.ascontiguousarray(self.x[self.at, cols])
+
+    def __setitem__(self, cols: slice, values: np.ndarray):
+        self.x[self.at, cols] = values
+
+    def copy(self) -> np.ndarray:
+        """The state as a new array."""
+        return self.x.copy() if isinstance(self.at, slice) else self.x[self.at]
+
+    def clear(self, items: np.ndarray):
+        """Zero the current matrix's rows where the boolean `items` is set, all state rows."""
+        if self.x is self.base:
+            self.x[items] = 0.0
+        else:
+            self.x[items[self.rows]] = 0.0
+
+    def max_abs(self) -> float:
+        """The current matrix's largest |entry|, read in place: 0.0 if it is empty, NaN if any is.
+
+        A state of its own lies over the input's masked rows, which are
+        zero placeholders.
+        """
+        arrays = (self.x,) if self.x is self.base else (self.base, self.x)
+        return float(np.max([np.abs([a.min(initial=0.0), a.max(initial=0.0)]) for a in arrays]))
 
 
 def _propagate(
@@ -178,42 +247,72 @@ def _propagate(
 ) -> dict[str, np.ndarray]:
     """Shared hop loop that computes only the rows each hop must produce.
 
-    Hop t is `step(x, t)`, which writes `x[rows]`: the masked rows with
-    `clamp` on, as observed rows never change, or `slice(None)` with it
-    off, when the observed rows are restored after the last hop.
-    `row_step(m, rows)` returns `(step, block)` once per modality, so an
-    operator is sliced once, not once per hop. A clamped hop is affine in
-    the masked rows, x_M <- K x_M + b, with K the operator's masked block
-    and b what the pinned observed rows add, so hop 1, run on the zero
-    placeholders, writes b. A clamped run of more than one hop takes b
-    before hop 1's hook and after it swaps in `block(b)`, the step that
-    applies K, so no other run builds K. A modality's steps are dropped
-    before the next working copy is made; a modality with no masked rows
-    is copied through with no hops and no `on_iteration` calls. The hook
-    sees the whole matrix, which later hops update in place.
+    Hop t is `step(state, t)`, which writes the float64 `_State`: the
+    masked rows x_M with `clamp` on, as observed rows never change, or
+    the whole matrix with it off (`rows` is then `slice(None)`), when
+    the observed rows are restored after the last hop. A step reads the
+    current matrix a block of columns at a time (`state.columns`), so a
+    clamped run of a float32 input holds no n x d float64 array. The
+    state starts from the zero placeholders. `row_step(m, rows)` returns
+    `(step, block)` once per modality, so an operator is sliced once,
+    not once per hop. A clamped hop is affine in the masked rows,
+    x_M <- K x_M + b, with K the operator's masked block and b what the
+    pinned observed rows add, so hop 1, run on the zero placeholders,
+    writes b. A clamped run of more than one hop takes b before hop 1's
+    hook and after it swaps in `block(b)`, the step that applies K, so
+    no other run builds K.
+
+    The output has the input's precision. A float64 input's output is
+    its working copy, whose masked rows are a clamped run's state. A
+    float32 input's is a copy made after hop 1, into which a clamped run
+    stores x_M after every hop, rounded, before the hook. A clamped
+    run's hook sees the output, an unclamped run's the state, whose
+    masked rows are stored after the last hop. A modality's steps are
+    dropped before the next modality starts; a modality with no masked
+    rows is copied through with no hops and no `on_iteration` calls.
     """
     check_hops(hops)
     out = {}
     for m in f.modalities:
-        mask = f.masks[m]
-        x = _zero_init(f, m)
-        if mask.any():
-            rows = np.flatnonzero(mask) if clamp else slice(None)
-            step, block = row_step(m, rows)
-            swap = clamp and hops > 1 and block is not None
-            for t in range(1, hops + 1):
-                step(x, t)
-                if swap and t == 1:
-                    b = x[rows]
-                if on_iteration is not None:
-                    on_iteration(m, t, x)
-                if swap and t == 1:
-                    step = block(b)
-                    del b  # the block step holds it
-            del step, block
-            if not clamp:  # unclamped hops moved them; outputs keep the inputs
-                x[~mask] = f.matrices[m][~mask]
-        out[m] = x
+        mask, src = f.masks[m], f.matrices[m]
+        if not mask.any():
+            out[m] = src.copy()
+            continue
+        rows = np.flatnonzero(mask) if clamp else slice(None)
+        if clamp and src.dtype != np.float64:
+            y = None
+            state = _State(src, np.zeros((rows.size, src.shape[1])), rows)
+        else:
+            x = src.astype(np.float64)
+            x[mask] = 0.0
+            y = x if clamp else None
+            state = _State(x, x, rows)
+            del x
+        step, block = row_step(m, rows)
+        swap = clamp and hops > 1 and block is not None
+        for t in range(1, hops + 1):
+            step(state, t)
+            if swap and t == 1:
+                b = state.copy()  # before the hook, which may write a float64 run's state
+            if clamp and state.x is not y:  # a float32 run stores x_M, rounded
+                if y is None:  # after hop 1, whose solve may hold three n x d/4 float64 arrays
+                    y = src.copy()
+                _store(y, rows, state.x)
+            if on_iteration is not None:
+                on_iteration(m, t, y if clamp else state.x)
+            if swap and t == 1:
+                step = block(b)
+                del b  # the block step holds it
+        del step, block
+        if not clamp:  # unclamped hops moved them; outputs keep the inputs
+            if src.dtype == np.float64:
+                y = state.x
+                y[~mask] = src[~mask]
+            else:
+                y = src.copy()
+                _store(y, mask, state.x[mask])
+        del state
+        out[m] = y
     return out
 
 
@@ -229,9 +328,11 @@ def impute_multihop(
     Missing rows start from zero and observed rows stay pinned to their
     original values (unless `clamp` is disabled), so information always
     flows outward from observed items. Clamped hops compute only the
-    masked rows M: hop 1 is S[M] @ x, and every later hop K x_M + b, with
-    K = S[M][:, M] and b hop 1's result, `MULTIHOP_COLUMNS` columns at a
-    time (a CSR product sums each column on its own, so no bit moves).
+    masked rows M, held in float64: hop 1 is S[M] @ x, and every later
+    hop K x_M + b, with K = S[M][:, M] and b hop 1's result. Every
+    product takes `MULTIHOP_COLUMNS` columns at a time, hop 1's widened
+    from the input (a CSR product sums each column on its own, so no bit
+    moves). The output keeps the input's precision.
     """
     if op.mode != MODE_SYM:
         raise InvalidParameter("multihop requires a sym-laplacian operator")
@@ -241,18 +342,18 @@ def impute_multihop(
     def row_step(m, rows):
         s_rows = s[rows]
 
-        def hop(x, t):
-            x[rows] = s_rows @ x
+        def hop(state, t):
+            for cols in _columns(state.dim, MULTIHOP_COLUMNS):
+                state[cols] = s_rows @ state.columns(cols)
 
         def block(b):
             k = s_rows[:, rows]  # stays sparse, a slice of the operator like s_rows
 
-            def step(x, t):
-                for lo in range(0, b.shape[1], MULTIHOP_COLUMNS):
-                    cols = slice(lo, lo + MULTIHOP_COLUMNS)
-                    y = k @ x[rows, cols]
+            def step(state, t):
+                for cols in _columns(state.dim, MULTIHOP_COLUMNS):
+                    y = k @ state[cols]
                     y += b[:, cols]
-                    x[rows, cols] = y
+                    state[cols] = y
 
             return step
 
@@ -289,10 +390,10 @@ def _ppr_columns(
 
     Converges to alpha * B^-1 @ x0 when (1 - alpha) * rho(A_sl) < 1;
     otherwise the residual stalls and the step cap trips. `x0` is the
-    n x c start, which may be a view of the caller's matrix, or c item
-    indices standing for their unit columns, built here so that no
-    caller holds them through the solve. The iterate starts as a private
-    copy of `x0`. A step is one product `a_sl @ x`, the only array it
+    n x c float64 start, a C-contiguous array the solve takes over as
+    its first iterate and overwrites, or c item indices standing for
+    their unit columns, built here so that no caller holds them through
+    the solve. A step is one product `a_sl @ x`, the only array it
     allocates, which `RowBlockedCSR` splits over the usable cores;
     `_relax_rows` then turns it into the next iterate over as many row
     blocks, on the same pool. Only `target`, the iterate and the product
@@ -309,9 +410,9 @@ def _ppr_columns(
     if x0.ndim == 1:
         items, x0 = x0, np.zeros((a_sl.shape[0], x0.size))
         x0[items, np.arange(items.size)] = 1.0
-    target = alpha * x0
-    x = np.array(x0, dtype=np.float64, order="C")  # each step overwrites its input
+    x = x0  # each step overwrites its input
     del x0
+    target = alpha * x
     # as many blocks as the product, but each row costs the relax pass the same
     n_blocks = _block_count(a_sl, x.shape[1])
     blocks = np.linspace(0, x.shape[0], n_blocks + 1).astype(np.int64).tolist()
@@ -339,32 +440,33 @@ def _ppr_columns(
 
 
 def _ppr_hop(
-    a_sl, alpha: float, x: np.ndarray, rows: np.ndarray | slice, iter_tolerance: float, hop: int
-) -> tuple[np.ndarray, int, float]:
-    """One PPR hop in place: `x[rows]` becomes those rows of the fixed point from `x`.
+    a_sl, alpha: float, state: _State, iter_tolerance: float, hop: int
+) -> tuple[_State, int, float]:
+    """One PPR hop in place: the state becomes its rows of the fixed point.
 
-    `iter_tolerance` is relative: each column stops at its own first step
-    whose change is at most `iter_tolerance * max|x|`, the largest over
-    the whole matrix, so the outcome does not depend on the scale of the
-    features, and an all-zero `x` stops after one step. The solve runs in
-    chunks of `_solve_width` columns, one after another, and each chunk
-    writes its rows into `x` before the next chunk's columns are copied
-    out, so besides `x` it holds three n x d/4 arrays and its kept rows.
-    Returns `x`, the steps of the slowest chunk and the largest change of
-    a kept column; `hop` only names the solve in a divergence.
+    The start x0 is the current matrix. `iter_tolerance` is relative:
+    each column stops at its own first step whose change is at most
+    `iter_tolerance * max|x0|`, the largest over the whole matrix, so the
+    outcome does not depend on the scale of the features, and an
+    all-zero x0 stops after one step. The solve runs in chunks of
+    `_solve_width` columns, one after another, each built from the
+    current matrix (`state.columns`), and each chunk writes its rows into
+    the state before the next chunk's columns are read, so besides the
+    state and its matrix it holds three n x d/4 float64 arrays and its
+    kept rows. Returns `state`, the steps of the slowest chunk and the
+    largest change of a kept column; `hop` only names the solve in a
+    divergence.
     """
-    # max|x| without an n x d temporary; `initial` keeps an empty x at 0
-    scale = max(abs(float(x.max(initial=0.0))), abs(float(x.min(initial=0.0))))
+    scale = state.max_abs()
     source = f"(iter_tolerance={iter_tolerance} times max |x0| = {scale:.3e}) in hop {hop}"
-    rows = np.arange(x.shape[0])[rows]  # an unclamped run's slice(None) as indices
-    width = _solve_width(x.shape[1])
+    kept = np.arange(state.base.shape[0])[state.rows]  # an unclamped run's slice(None) as indices
     n_steps, residual = 0, 0.0
-    for lo in range(0, x.shape[1], width):
-        x[rows, lo:lo + width], steps, change = _ppr_columns(
-            a_sl, alpha, x[:, lo:lo + width], rows, iter_tolerance * scale, source
+    for cols in _columns(state.dim, _solve_width(state.dim)):
+        state[cols], steps, change = _ppr_columns(
+            a_sl, alpha, state.columns(cols), kept, iter_tolerance * scale, source
         )
         n_steps, residual = max(n_steps, steps), max(residual, change)
-    return x, n_steps, residual
+    return state, n_steps, residual
 
 
 def _dense_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -383,11 +485,11 @@ def _dense_product(p: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _masked_block_fits(f: FeatureSet, m: str) -> bool:
     """Whether modality m's clamped PPR hops after the first run on the dense block P.
 
-    P holds |M|^2 floats, at most 4 n d: four times the working copy,
-    and about five times a hop solve's own 3/4 n d (three n x d/4 chunk
-    arrays). Past that bound every hop solves over the whole matrix
-    instead. The rule reads no hop count, so a hop's bits never depend on
-    how many follow it.
+    P holds |M|^2 floats, at most 4 n d: four times a float64 copy of
+    the modality, and about five times a hop solve's own 3/4 n d (three
+    n x d/4 chunk arrays). Past that bound every hop solves over the
+    whole matrix instead. The rule reads no hop count, so a hop's bits
+    never depend on how many follow it.
     """
     n_masked = int(f.masks[m].sum())
     return n_masked * n_masked <= 4 * f.n_items * f.dim(m)
@@ -433,18 +535,19 @@ def _pers_pagerank(
         return x
 
     def row_step(m, rows):
-        def hop(x, t):
-            # the fixed point couples every row; only `rows` are kept
-            x[cold[m]] = 0.0  # x0 holds cold rows as placeholders, not a hook's fill
-            solved(m, _ppr_hop, a_sl, alpha, x, rows, iter_tolerance, t)
+        def hop(state, t):
+            # the fixed point couples every row; only `rows` are kept.
+            # x0 holds cold rows as placeholders, not a hook's fill
+            state.clear(cold[m])
+            solved(m, _ppr_hop, a_sl, alpha, state, iter_tolerance, t)
 
         if not _masked_block_fits(f, m):
             return hop, None
 
         def block(b):
-            # P's cold columns stay zero, so a finite value a hook leaves in
-            # a cold row adds nothing. A row of P @ x_M sums |M| terms, so
-            # each unit column is solved to iter_tolerance / |M|
+            # P's cold columns stay zero, as do x_M's cold rows. A row of
+            # P @ x_M sums |M| terms, so each unit column is solved to
+            # iter_tolerance / |M|
             p = np.zeros((rows.size, rows.size))
             warm = np.flatnonzero(~cold[m][rows])
             n_chunks = -(-warm.size // _solve_width(f.dim(m)))
@@ -457,10 +560,10 @@ def _pers_pagerank(
                     m, _ppr_columns, a_sl, alpha, rows[cols], rows, iter_tolerance / rows.size, source
                 )
 
-            def step(x, t):
-                y = _dense_product(p, x[rows])
+            def step(state, t):
+                y = _dense_product(p, state[:])
                 y += b
-                x[rows] = y
+                state[:] = y
 
             return step
 
@@ -489,7 +592,8 @@ def impute_pers_pagerank(
     x = alpha * x0 + (1 - alpha) * A_sl @ x over the self-loop normalized
     adjacency, so no n x n matrix is formed; it matches the dense operator
     wherever the series converges. Observed rows stay pinned between
-    applications, so clamped hops keep only the masked rows M. Every
+    applications, so clamped hops keep only the masked rows M, in
+    float64, and the output keeps the input's precision. Every
     solve treats each column on its own: a column stops at its own first
     step within its bound, and the columns run in chunks of at most d/4,
     one after another. Hop 1 is one solve over the whole matrix, bound
@@ -499,8 +603,8 @@ def impute_pers_pagerank(
     column, bound `iter_tolerance / |M|`; these solves run after hop 1's
     `on_iteration` call, and only if hop 2 follows. A modality whose P
     would hold more than 4 n d floats, and every unclamped run, solves
-    over the whole matrix at every hop instead. A modality with nothing masked is returned unchanged without
-    solving anything.
+    over the whole matrix at every hop instead. A modality with nothing
+    masked is returned unchanged without solving anything.
     """
     check_iter_tolerance(iter_tolerance)
     _check_graph(f, g.n_items)
@@ -558,7 +662,11 @@ def impute(
             fill = _fallback_rows(f, cold, cfg.cold_fallback)
 
             def hook(m, t, x):
-                x[cold[m]] = fill[m]  # PPR solves zero it; K has no cold column, P zero ones
+                # `x` is a clamped run's output, whose masked rows are a
+                # float64 run's state, or an unclamped run's state; S has
+                # no cold column and PPR hops zero the cold rows, so no
+                # hop reads the fill
+                x[cold[m]] = fill[m]
                 if on_iteration is not None:
                     on_iteration(m, t, x)
 

@@ -12,8 +12,8 @@ that is not two tab-separated fields (all ParseError), then an unknown
 item id (UnknownItem). Feature matrices use a little-endian binary
 format: the 8-byte magic "FMATv1\\0\\0", two u64 dimensions (rows,
 columns), then the float32 row-major payload. They load as float32 and
-stay float32 through dropping and reordering; a float32 matrix is
-written without conversion.
+stay float32 through dropping, reordering and imputation; a float32
+matrix is written without conversion.
 
 Feature rows are keyed by item index, i.e. by first appearance of the
 item id in the interactions file. `write_dataset` writes in the

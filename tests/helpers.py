@@ -94,8 +94,12 @@ def random_interactions(rng, max_users=30, max_items=30):
 
 
 def feature_set(matrix, mask, name="m"):
-    """Single-modality FeatureSet; masked rows are zeroed placeholders."""
-    matrix = np.asarray(matrix, dtype=np.float64).copy()
+    """Single-modality FeatureSet; masked rows are zeroed placeholders.
+
+    The precision is `FeatureSet`'s: float32 stays float32, anything else
+    becomes float64.
+    """
+    matrix = np.array(matrix)
     mask = np.asarray(mask, dtype=bool)
     matrix[mask] = 0.0
     return FeatureSet.create([(name, matrix)], {name: mask})

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -138,6 +139,26 @@ def test_cooccurrence_arrays_match_coo_filter():
             a, b = getattr(got, name), getattr(expected, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert got.has_sorted_indices
+
+
+def test_cooccurrence_holds_the_gram_once():
+    # the product's compressed arrays are the CSR arrays of the symmetric
+    # Gram, so no format conversion copies them: the peak stays near the
+    # returned arrays, where a copy would double it. The slack holds the
+    # incidence matrix converted for the product
+    rng = np.random.default_rng(5)
+    n_users, n_items, per_user = 400, 1500, 60
+    users = np.repeat(np.arange(n_users), per_user)
+    items = np.concatenate([rng.choice(n_items, per_user, replace=False) for _ in range(n_users)])
+    r = InteractionMatrix.from_pairs(np.column_stack([users, items]), n_users, n_items)
+    tracemalloc.start()
+    try:
+        a = cooccurrence(r).adjacency
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.nnz >= 2**20
+    assert peak < 1.3 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
 
 
 def test_cooccurrence_symmetry_and_determinism():

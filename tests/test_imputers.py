@@ -33,7 +33,14 @@ from mmimpute import (
 import mmimpute.imputers
 from mmimpute import graph
 from mmimpute.features import FALLBACKS
-from mmimpute.imputers import _cold_rows, _pers_pagerank, _ppr_columns, _ppr_hop, _propagate
+from mmimpute.imputers import (
+    _cold_rows,
+    _pers_pagerank,
+    _ppr_columns,
+    _ppr_hop,
+    _propagate,
+    _State,
+)
 
 from helpers import (
     binary_graph,
@@ -250,21 +257,27 @@ def test_ppr_fixed_point_is_scale_invariant(scale):
     assert np.max(np.abs(out - dense)) <= 1e-6 * np.max(np.abs(dense))
 
 
+def whole(x):
+    """An unclamped run's state: all of `x`, in place."""
+    return _State(x, x, slice(None))
+
+
 def test_ppr_fixed_point_zero_input_stops_at_once():
     g = binary_graph(3, [(0, 1), (1, 2)])
     a_sl = ppr_iterative(g, 0.85).matrix
-    x, steps, residual = _ppr_hop(a_sl, 0.85, np.zeros((3, 2)), slice(None), 1e-8, 1)
+    state, steps, residual = _ppr_hop(a_sl, 0.85, whole(np.zeros((3, 2))), 1e-8, 1)
     assert (steps, residual) == (1, 0.0)
-    assert not x.any()
+    assert not state.x.any()
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_ppr_fixed_point_memory_stays_flat(monkeypatch, workers):
-    # a clamped hop over half the rows holds, besides the working copy,
-    # three n x d/4 chunk arrays and the chunk's kept rows: a step
-    # allocates only its product, the dead iterate is freed before the
-    # next one (no job or closure may keep it alive), and each chunk's
-    # rows go into x before the next chunk is copied out
+    # a clamped hop over half the rows of a float64 working copy, which
+    # holds the state in its masked rows, holds besides the copy three
+    # n x d/4 chunk arrays and the chunk's kept rows: a step allocates
+    # only its product, the dead iterate is freed before the next one (no
+    # job or closure may keep it alive), and each chunk's rows go into
+    # the state before the next chunk is built
     monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
     monkeypatch.setattr(graph, "_usable_cores", lambda: workers)
     rng = np.random.default_rng(8)
@@ -273,7 +286,7 @@ def test_ppr_fixed_point_memory_stays_flat(monkeypatch, workers):
     rows = np.sort(rng.choice(2048, 1024, replace=False))
     tracemalloc.start()
     try:
-        _, steps, _ = _ppr_hop(a_sl, 0.5, x, rows, 1e-6, 1)
+        _, steps, _ = _ppr_hop(a_sl, 0.5, _State(x, x, rows), 1e-6, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -285,14 +298,49 @@ def csr_nbytes(a):
     return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
 
 
+@pytest.mark.parametrize("method", ["multihop", "pers-pagerank"])
+def test_impute_holds_no_float64_copy_of_a_float32_modality(method):
+    # the output is float32 and only the masked rows are held in float64:
+    # multihop peaks under one float64 copy of the modality; PPR adds its
+    # solves' three n x d/4 float64 arrays, hop 1's or those of the
+    # masked block's unit columns, to the output
+    rng = np.random.default_rng(6)
+    n, d, n_users, per_user = 4000, 256, 2000, 8
+    users = np.repeat(np.arange(n_users), per_user)
+    items = np.concatenate([rng.choice(n, per_user, replace=False) for _ in range(n_users)])
+    r = InteractionMatrix.from_pairs(np.column_stack([users, items]), n_users, n)
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, n // 20, replace=False)] = True
+    f = feature_set(rng.standard_normal((n, d)).astype(np.float32), mask)
+    cfg = ImputeConfig(method=method, hops=3)
+    a_sl = ppr_iterative(topk_sparsify(cooccurrence(r), cfg.top_k), cfg.alpha).matrix
+    tracemalloc.start()
+    try:
+        out, _ = impute(f, r, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.matrices["m"].dtype == np.float32
+    if method == "multihop":
+        assert peak < n * d * 8
+    else:
+        operator_bytes = a_sl.data.nbytes + a_sl.indices.nbytes + a_sl.indptr.nbytes
+        solve_bytes = 3 * n * (d // 4) * 8
+        assert peak < out.matrices["m"].nbytes + solve_bytes + operator_bytes + 256 * 1024
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 def test_multihop_later_hop_memory_stays_flat(monkeypatch, workers):
-    # a clamped hop after the first holds, besides the working copy and the
-    # operator's sparse S[M] and K = S[M][:, M], only b and three blocks of
-    # `MULTIHOP_COLUMNS` columns: the last block's K x_M + b, and the next
-    # block of x_M and its product. All of x_M and K x_M, an n x d temporary
-    # or a dense K does not fit in the slack, which holds the masked rows'
-    # indices and the pool's jobs
+    # a clamped hop after the first holds, besides the output at the
+    # input's precision and the operator's sparse S[M] and K = S[M][:, M],
+    # only b, a float32 input's float64 state x_M (a float64 input's is
+    # the output's masked rows) and three blocks of `MULTIHOP_COLUMNS`
+    # columns: the last block's K x_M + b, and the next block of x_M and
+    # its product. Another copy
+    # of x_M, K x_M, an n x d float64 temporary or a dense K does not fit
+    # in the slack, which holds the masked rows' indices and the pool's
+    # jobs. With float32 input and half the rows masked, the bound equals
+    # a float64 copy of the modality plus b
     monkeypatch.setattr(graph, "MIN_BLOCK_WORK", 1)
     monkeypatch.setattr(graph, "_usable_cores", lambda: workers)
     rng = np.random.default_rng(9)
@@ -300,22 +348,28 @@ def test_multihop_later_hop_memory_stays_flat(monkeypatch, workers):
     op = sym_norm_adjacency(random_connected_graph(rng, n))
     mask = np.zeros(n, dtype=bool)
     mask[rng.choice(n, n_masked, replace=False)] = True
-    f = feature_set(rng.standard_normal((n, dim)), mask)
+    values = rng.standard_normal((n, dim))
     rows = np.flatnonzero(mask)
     s_rows = op.matrix[rows]
     operator_bytes = csr_nbytes(s_rows) + csr_nbytes(s_rows[:, rows])
-    hops = []
-    tracemalloc.start()
-    try:
-        out = impute_multihop(f, op, 4, on_iteration=lambda m, t, x: hops.append(t))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert hops == [1, 2, 3, 4]
-    x_bytes = out.matrices["m"].nbytes
     block_bytes = n_masked * mmimpute.imputers.MULTIHOP_COLUMNS * 8
-    assert peak <= x_bytes + n_masked * dim * 8 + 3 * block_bytes + operator_bytes + 64 * 1024
-    assert 64 * 1024 < block_bytes < x_bytes
+    for dtype in (np.float32, np.float64):
+        f = feature_set(values.astype(dtype), mask)
+        hops = []
+        tracemalloc.start()
+        try:
+            out = impute_multihop(f, op, 4, on_iteration=lambda m, t, x: hops.append(t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hops == [1, 2, 3, 4]
+        out_bytes = out.matrices["m"].nbytes
+        assert out_bytes == n * dim * np.dtype(dtype).itemsize
+        # a float32 run holds x_M beside b; a float64 run's x_M is the
+        # output's masked rows
+        state_bytes = n_masked * dim * 8 * (2 if dtype == np.float32 else 1)
+        assert peak <= out_bytes + state_bytes + 3 * block_bytes + operator_bytes + 64 * 1024
+        assert 64 * 1024 < block_bytes < out_bytes
 
 
 def test_ppr_fixed_point_nan_in_one_block_is_divergence(monkeypatch):
@@ -327,7 +381,7 @@ def test_ppr_fixed_point_nan_in_one_block_is_divergence(monkeypatch):
     x0 = np.array([[1.0, 1.0], [1.0, 1.0], [1e308, 1e308], [1e308, 1e308]])
     with warnings.catch_warnings(), pytest.raises(DivergentDiffusion, match=r"last residual nan\)"):
         warnings.simplefilter("ignore", RuntimeWarning)  # overflow, in whichever thread
-        _ppr_hop(a_sl, 0.9, x0, slice(None), 1e-8, 1)
+        _ppr_hop(a_sl, 0.9, whole(x0), 1e-8, 1)
 
 
 def test_ppr_fixed_point_blocks_follow_the_callers_errstate(monkeypatch):
@@ -337,9 +391,9 @@ def test_ppr_fixed_point_blocks_follow_the_callers_errstate(monkeypatch):
     a_sl = ppr_iterative(binary_graph(4, [(0, 1), (2, 3)]), 0.9).matrix
     x0 = np.array([[1.0, 1.0], [1.0, 1.0], [1e308, 1e308], [1e308, 1e308]])
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        _ppr_hop(a_sl, 0.9, x0, slice(None), 1e-8, 1)
+        _ppr_hop(a_sl, 0.9, whole(x0), 1e-8, 1)
     with np.errstate(all="ignore"), pytest.raises(DivergentDiffusion):
-        _ppr_hop(a_sl, 0.9, x0, slice(None), 1e-8, 1)  # no RuntimeWarning, which fails the suite
+        _ppr_hop(a_sl, 0.9, whole(x0), 1e-8, 1)  # no RuntimeWarning, which fails the suite
 
 
 def fixed_point_outcome(solve, *args):
@@ -368,7 +422,8 @@ def test_ppr_fixed_point_matches_expression_oracle():
     cases.append((two_node, 0.5, np.array([[1.0], [0.0]]), 1e-8))
 
     def hop(a_sl, alpha, x0, tolerance):
-        return _ppr_hop(a_sl, alpha, x0.copy(), slice(None), tolerance, 1)
+        state, steps, residual = _ppr_hop(a_sl, alpha, whole(x0.copy()), tolerance, 1)
+        return state.x, steps, residual
 
     for k, args in enumerate(cases):
         got = fixed_point_outcome(hop, *args)
@@ -450,8 +505,8 @@ def test_unit_columns_do_not_depend_on_their_chunk(monkeypatch, workers):
     a_sl = ppr_iterative(random_connected_graph(rng, n), 0.85).matrix
     rows = np.sort(rng.choice(n, 12, replace=False))
 
-    def solve(x0, tolerance):
-        return _ppr_columns(a_sl, 0.85, x0, rows, tolerance, "")
+    def solve(x0, tolerance):  # the solve overwrites a start it is given
+        return _ppr_columns(a_sl, 0.85, x0.copy() if x0.ndim == 2 else x0, rows, tolerance, "")
 
     items = rows[[0, 3, 4, 7, 11]]
     alone = [solve(items[[k]], 1e-9) for k in range(items.size)]
@@ -473,11 +528,16 @@ def test_unit_columns_do_not_depend_on_their_chunk(monkeypatch, workers):
     for width in (1, 2, d // 4, d):
         chunks = [solve(x[:, lo:lo + width], bound) for lo in range(0, d, width)]
         assert np.hstack([c for c, _, _ in chunks]).tobytes() == want.tobytes(), width
-    hop, steps, residual = _ppr_hop(a_sl, 0.85, x.copy(), rows, 1e-9, 1)
-    assert hop[rows].tobytes() == want.tobytes()
-    assert np.delete(hop, rows, axis=0).tobytes() == np.delete(x, rows, axis=0).tobytes()
-    assert steps == max(s for _, s, _ in alone)
-    assert residual == max(r for _, _, r in alone) <= bound
+    # the state an array of its own beside an input it leaves untouched,
+    # or the masked rows of a working copy whose other rows stay
+    src, y = x.copy(), x.copy()
+    for state in (_State(src, np.zeros((rows.size, d)), rows), _State(y, y, rows)):
+        state, steps, residual = _ppr_hop(a_sl, 0.85, state, 1e-9, 1)
+        assert state[:].tobytes() == want.tobytes()
+        assert steps == max(s for _, s, _ in alone)
+        assert residual == max(r for _, _, r in alone) <= bound
+    assert src.tobytes() == x.tobytes()
+    assert np.delete(y, rows, axis=0).tobytes() == np.delete(x, rows, axis=0).tobytes()
 
 
 def test_fully_observed_modality_is_copied_through():
@@ -975,8 +1035,8 @@ def test_ppr_masked_block_divergence_names_its_bound(monkeypatch):
 @pytest.mark.parametrize("hops, clamp", [(1, True), (1, False), (3, False), (2, True), (4, True)])
 def test_propagate_swaps_in_the_block_step_after_hop_1(hops, clamp):
     # a fake method: hop t adds t to its rows, and the block step writes
-    # b + 100 t; the hook overwrites the masked rows, so a b taken after
-    # it, or a view of x, would show -1
+    # b + 100 t; the hook overwrites the masked rows of what it sees, so a
+    # b that a clamped run's hook could reach would show -1
     f = FeatureSet.create(
         [("a", np.arange(8.0).reshape(4, 2)), ("b", np.ones((4, 1)))],
         {"a": np.array([False, True, False, True]), "b": np.zeros(4, dtype=bool)},
@@ -986,16 +1046,16 @@ def test_propagate_swaps_in_the_block_step_after_hop_1(hops, clamp):
     def row_step(m, rows):
         events.append(("row_step", m))
 
-        def step(x, t):
+        def step(state, t):
             events.append(("step", m, t))
-            x[rows] += t
+            state[:] = state[:] + t
 
         def block(b):
             events.append(("block", m, b.tolist()))
 
-            def block_step(x, t):
+            def block_step(state, t):
                 events.append(("block_step", m, t))
-                x[rows] = b + 100 * t
+                state[:] = b + 100 * t
 
             return block_step
 

@@ -1,9 +1,11 @@
 """Feature matrices keep the float32 precision of `.fmat` files.
 
-Loading, dropping and masking keep float32; every imputer computes in a
-float64 working copy. A float32 dataset must therefore give exactly what
-the same values widened to float64 give: the same imputed bits, reports,
-sweep rows, pruned datasets and written files.
+Loading, dropping, masking and imputing keep float32; imputers compute
+the rows they write in float64 and round them once, when they store
+them. A float32 dataset must therefore give what the same values
+widened to float64 give, rounded to float32: the same imputed bits once
+rounded, reports, pruned datasets and written files, and the same sweep
+rows apart from metric values, which score the rounded rows.
 """
 
 import json
@@ -23,7 +25,7 @@ from mmimpute.io import (
     write_feature_set,
 )
 
-from helpers import random_interactions
+from helpers import per_config_sweep, random_interactions
 
 
 def random_dataset(rng, all_masked: bool):
@@ -66,10 +68,12 @@ def written_bytes(tmp_path, f: FeatureSet) -> dict:
 
 
 def imputed_outcome(f, r, cfg, tmp_path):
+    """The outputs rounded to float32, the report and the written bytes, or the error."""
     def run():
         out, report = impute(f, r, cfg)
         report.pop("timing")
-        bits = {m: (x.dtype.str, x.tobytes()) for m, x in out.matrices.items()}
+        assert all(out.matrices[m].dtype == f.matrices[m].dtype for m in f.modalities)
+        bits = {m: x.astype(np.float32).tobytes() for m, x in out.matrices.items()}
         return bits, json.dumps(report), written_bytes(tmp_path, out)
 
     return outcome(run)
@@ -124,6 +128,10 @@ def test_drop_missing_float32_matches_float64_widening(tmp_path):
 
 
 def test_run_sweep_float32_matches_float64_widening():
+    # the metrics score the float32 rows that `impute` returns, so only
+    # their values may move, each within float32 rounding of the float64
+    # run's; the per-configuration oracle scores the same rows, so it
+    # still matches bit for bit
     rng = np.random.default_rng(34)
     kinds = set()
     for case in range(12):
@@ -132,13 +140,35 @@ def test_run_sweep_float32_matches_float64_widening():
             methods=list(METHODS), top_k_grid=[1, 3], hops_grid=[1, 3], hide_fraction=0.5,
             seed=case, cold_fallback=FALLBACKS[case % 2], iter_tolerance=1e-6,
         )
-        want = outcome(lambda f: json.dumps(run_sweep(r, f, **kwargs)), f64)
-        assert outcome(lambda f: json.dumps(run_sweep(r, f, **kwargs)), f32) == want, case
+        want = outcome(run_sweep, r, f64, **kwargs)
+        got = outcome(run_sweep, r, f32, **kwargs)
+        assert json.dumps(got) == json.dumps(outcome(per_config_sweep, r, f32, **kwargs)), case
         kinds.add(type(want).__name__)
-    assert kinds == {"str", "tuple"}
+        if isinstance(want, tuple):  # an error
+            assert got == want, case
+            continue
+        assert len(got) == len(want)
+        for row32, row64 in zip(got, want):
+            metrics32, metrics64 = row32.pop("metrics"), row64.pop("metrics")
+            assert row32 == row64, case
+            assert metrics32.keys() == metrics64.keys()
+            for m, v in metrics32.items():
+                w = metrics64[m]
+                assert v.keys() == w.keys()
+                assert (v["n_evaluated"], v["n_cosine_excluded"]) == (
+                    w["n_evaluated"], w["n_cosine_excluded"]
+                ), case
+                assert np.isclose(v["rmse"], w["rmse"], rtol=1e-6, atol=0.0), case
+                # cosines lie in [-1, 1] and their mean may cancel to near
+                # zero, so its change is bounded absolutely
+                if w["mean_cosine"] is None:
+                    assert v["mean_cosine"] is None, case
+                else:
+                    assert abs(v["mean_cosine"] - w["mean_cosine"]) <= 1e-6, case
+    assert kinds == {"list", "tuple"}
 
 
-def test_float32_stays_float32_until_an_imputer_widens():
+def test_float32_stays_float32_through_imputation():
     rng = np.random.default_rng(35)
     r, f32, _ = random_dataset(rng, all_masked=False)
     masked, hidden = mask_features(f32, 0.5, 0)
@@ -147,8 +177,9 @@ def test_float32_stays_float32_until_an_imputer_widens():
     for m in f32.modalities:  # ground truth is the exact widening of the hidden rows
         assert (hidden.values[m] == f32.matrices[m][hidden.indices[m]]).all()
     for method in METHODS:
-        out, _ = impute(f32, r, ImputeConfig(method=method, top_k=2, hops=2))
-        assert {x.dtype for x in out.matrices.values()} == {np.dtype(np.float64)}
+        for clamp in (True, False):
+            out, _ = impute(f32, r, ImputeConfig(method=method, top_k=2, hops=2, clamp=clamp))
+            assert {x.dtype for x in out.matrices.values()} == {np.dtype(np.float32)}
 
 
 def test_load_feature_set_is_float32(tmp_path):
