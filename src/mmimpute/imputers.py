@@ -7,14 +7,14 @@ each row an imputer writes rounded once by numpy's cast, the rounding
 the `.fmat` writer applies to float64 rows. Only the rows an imputer
 writes are computed in float64, so a float32 input gives its float64
 widening's outputs rounded to float32. Masked rows always enter the
-computation as zero placeholders, so items whose neighbors are
-themselves missing contribute nothing to a neighborhood average. The
-graph-aware strategies consume structures from `graph`. Because observed
-rows never change under clamping, the graph methods compute only masked
-rows: neighbor means and clamped hops multiply the operator's masked
-rows, never the whole matrix, and keep the masked rows x_M in float64 as
-their only state: an array of their own for a float32 input, the
-output's own masked rows for a float64 one. A clamped hop after the
+computation as zero placeholders, whatever the input holds in them, so
+items whose neighbors are themselves missing contribute nothing to a
+neighborhood average. The graph-aware strategies consume structures
+from `graph`. Because observed rows never change under clamping, the
+graph methods compute only masked rows: neighbor means and clamped hops
+multiply the operator's masked rows, never the whole matrix, and keep
+the masked rows x_M in float64 as their only state: an array of their
+own for a float32 input, the output's own masked rows for a float64 one. A clamped hop after the
 first is affine in the masked rows, x_M <- K x_M + b, so multihop and
 personalized PageRank compute it from the operator's masked block K and
 the first hop's result b. `_fallback_rows` computes the row given to
@@ -89,16 +89,6 @@ def _filled(f: FeatureSet, fill: dict) -> FeatureSet:
         y[f.masks[m]] = fill[m]
         out[m] = y
     return _cleared(f, out)
-
-
-def _store(y: np.ndarray, rows, values: np.ndarray):
-    """`y[rows] = values`, rounded to `y`'s precision.
-
-    A value beyond that range becomes an infinity without a warning; the
-    `.fmat` writer refuses it.
-    """
-    with np.errstate(over="ignore"):
-        y[rows] = values
 
 
 def _fallback_rows(f: FeatureSet, rows: dict[str, np.ndarray], fallback: str) -> dict:
@@ -192,7 +182,8 @@ class _State:
     are x_M, or an unclamped run's whole matrix (`rows` is `slice(None)`).
     Otherwise `x` holds the state alone, a float32 input's clamped x_M
     (|M| x d), and the current matrix is the input `base` with `x` over
-    its rows `rows`.
+    its rows `rows`, every masked row. `columns` is the only reader of
+    the current matrix, so a float32 input's masked rows are never read.
     """
 
     def __init__(self, base: np.ndarray, x: np.ndarray, rows: np.ndarray | slice):
@@ -221,22 +212,6 @@ class _State:
         """The state as a new array."""
         return self.x.copy() if isinstance(self.at, slice) else self.x[self.at]
 
-    def clear(self, items: np.ndarray):
-        """Zero the current matrix's rows where the boolean `items` is set, all state rows."""
-        if self.x is self.base:
-            self.x[items] = 0.0
-        else:
-            self.x[items[self.rows]] = 0.0
-
-    def max_abs(self) -> float:
-        """The current matrix's largest |entry|, read in place: 0.0 if it is empty, NaN if any is.
-
-        A state of its own lies over the input's masked rows, which are
-        zero placeholders.
-        """
-        arrays = (self.x,) if self.x is self.base else (self.base, self.x)
-        return float(np.max([np.abs([a.min(initial=0.0), a.max(initial=0.0)]) for a in arrays]))
-
 
 def _propagate(
     f: FeatureSet,
@@ -251,25 +226,27 @@ def _propagate(
     masked rows x_M with `clamp` on, as observed rows never change, or
     the whole matrix with it off (`rows` is then `slice(None)`), when
     the observed rows are restored after the last hop. A step reads the
-    current matrix a block of columns at a time (`state.columns`), so a
-    clamped run of a float32 input holds no n x d float64 array. The
-    state starts from the zero placeholders. `row_step(m, rows)` returns
-    `(step, block)` once per modality, so an operator is sliced once,
-    not once per hop. A clamped hop is affine in the masked rows,
-    x_M <- K x_M + b, with K the operator's masked block and b what the
-    pinned observed rows add, so hop 1, run on the zero placeholders,
-    writes b. A clamped run of more than one hop takes b before hop 1's
-    hook and after it swaps in `block(b)`, the step that applies K, so
-    no other run builds K.
+    current matrix only a block of columns at a time (`state.columns`),
+    so a clamped run of a float32 input holds no n x d float64 array and
+    reads none of its masked rows. The state starts from the zero
+    placeholders. `row_step(m, rows)` returns `(step, block)` once per
+    modality, so an operator is sliced once, not once per hop. A clamped
+    hop is affine in the masked rows, x_M <- K x_M + b, with K the
+    operator's masked block and b what the pinned observed rows add, so
+    hop 1, run on the zero placeholders, writes b. A clamped run of more
+    than one hop takes b before hop 1's hook and after it swaps in
+    `block(b)`, the step that applies K, so no other run builds K.
 
     The output has the input's precision. A float64 input's output is
     its working copy, whose masked rows are a clamped run's state. A
     float32 input's is a copy made after hop 1, into which a clamped run
-    stores x_M after every hop, rounded, before the hook. A clamped
-    run's hook sees the output, an unclamped run's the state, whose
-    masked rows are stored after the last hop. A modality's steps are
-    dropped before the next modality starts; a modality with no masked
-    rows is copied through with no hops and no `on_iteration` calls.
+    stores x_M after every hop, rounded, before the hook. An unclamped
+    run casts its state to the input's precision after the last hop (a
+    float64 state is its own cast) and restores the observed rows from
+    the input. A clamped run's hook sees the output, an unclamped run's
+    the state. A modality's steps are dropped before the next modality
+    starts; a modality with no masked rows is copied through with no
+    hops and no `on_iteration` calls.
     """
     check_hops(hops)
     out = {}
@@ -297,20 +274,20 @@ def _propagate(
             if clamp and state.x is not y:  # a float32 run stores x_M, rounded
                 if y is None:  # after hop 1, whose solve may hold three n x d/4 float64 arrays
                     y = src.copy()
-                _store(y, rows, state.x)
+                # a value beyond float32's range becomes an infinity without
+                # a warning; the `.fmat` writer refuses it
+                with np.errstate(over="ignore"):
+                    y[rows] = state.x
             if on_iteration is not None:
                 on_iteration(m, t, y if clamp else state.x)
             if swap and t == 1:
                 step = block(b)
                 del b  # the block step holds it
         del step, block
-        if not clamp:  # unclamped hops moved them; outputs keep the inputs
-            if src.dtype == np.float64:
-                y = state.x
-                y[~mask] = src[~mask]
-            else:
-                y = src.copy()
-                _store(y, mask, state.x[mask])
+        if not clamp:  # unclamped hops moved the observed rows; outputs keep the inputs
+            with np.errstate(over="ignore"):  # as a clamped run's store, above
+                y = state.x.astype(src.dtype, copy=False)  # a float64 run's own state
+            np.copyto(y, src, where=~mask[:, None])
         del state
         out[m] = y
     return out
@@ -440,30 +417,39 @@ def _ppr_columns(
 
 
 def _ppr_hop(
-    a_sl, alpha: float, state: _State, iter_tolerance: float, hop: int
+    a_sl, alpha: float, state: _State, cold: np.ndarray, iter_tolerance: float, hop: int
 ) -> tuple[_State, int, float]:
     """One PPR hop in place: the state becomes its rows of the fixed point.
 
-    The start x0 is the current matrix. `iter_tolerance` is relative:
-    each column stops at its own first step whose change is at most
-    `iter_tolerance * max|x0|`, the largest over the whole matrix, so the
-    outcome does not depend on the scale of the features, and an
-    all-zero x0 stops after one step. The solve runs in chunks of
-    `_solve_width` columns, one after another, each built from the
-    current matrix (`state.columns`), and each chunk writes its rows into
-    the state before the next chunk's columns are read, so besides the
-    state and its matrix it holds three n x d/4 float64 arrays and its
-    kept rows. Returns `state`, the steps of the slowest chunk and the
-    largest change of a kept column; `hop` only names the solve in a
-    divergence.
+    The start x0 is the current matrix with the rows where the boolean
+    `cold` is set zeroed, so a hook's fill in a cold row is never read.
+    `iter_tolerance` is relative: each column stops at its own first
+    step whose change is at most `iter_tolerance * max|x0|`, the largest
+    over the whole of x0, so the outcome does not depend on the scale of
+    the features, and an all-zero x0 stops after one step. The solve
+    runs in chunks of `_solve_width` columns, one after another. Each
+    chunk's x0 is built from the current matrix (`state.columns`) twice:
+    once for max|x0|, a pass over every chunk before any is solved, and
+    once for its solve, which writes its rows into the state before the
+    next chunk's columns are read. So besides the state and its matrix a
+    hop holds three n x d/4 float64 arrays and its kept rows. Returns
+    `state`, the steps of the slowest chunk and the largest change of a
+    kept column; `hop` only names the solve in a divergence.
     """
-    scale = state.max_abs()
+    def x0(cols):
+        v = state.columns(cols)
+        v[cold] = 0.0
+        return v
+
+    chunks = list(_columns(state.dim, _solve_width(state.dim)))
+    # np.max, not max: a NaN in any chunk must give a NaN scale
+    scale = float(np.max([np.abs(x0(c)).max(initial=0.0) for c in chunks], initial=0.0))
     source = f"(iter_tolerance={iter_tolerance} times max |x0| = {scale:.3e}) in hop {hop}"
     kept = np.arange(state.base.shape[0])[state.rows]  # an unclamped run's slice(None) as indices
     n_steps, residual = 0, 0.0
-    for cols in _columns(state.dim, _solve_width(state.dim)):
+    for cols in chunks:
         state[cols], steps, change = _ppr_columns(
-            a_sl, alpha, state.columns(cols), kept, iter_tolerance * scale, source
+            a_sl, alpha, x0(cols), kept, iter_tolerance * scale, source
         )
         n_steps, residual = max(n_steps, steps), max(residual, change)
     return state, n_steps, residual
@@ -536,10 +522,8 @@ def _pers_pagerank(
 
     def row_step(m, rows):
         def hop(state, t):
-            # the fixed point couples every row; only `rows` are kept.
-            # x0 holds cold rows as placeholders, not a hook's fill
-            state.clear(cold[m])
-            solved(m, _ppr_hop, a_sl, alpha, state, iter_tolerance, t)
+            # the fixed point couples every row; only `rows` are kept
+            solved(m, _ppr_hop, a_sl, alpha, state, cold[m], iter_tolerance, t)
 
         if not _masked_block_fits(f, m):
             return hop, None
@@ -664,8 +648,8 @@ def impute(
             def hook(m, t, x):
                 # `x` is a clamped run's output, whose masked rows are a
                 # float64 run's state, or an unclamped run's state; S has
-                # no cold column and PPR hops zero the cold rows, so no
-                # hop reads the fill
+                # no cold column and each PPR hop zeroes the cold rows of
+                # the x0 it builds, so no hop reads the fill
                 x[cold[m]] = fill[m]
                 if on_iteration is not None:
                     on_iteration(m, t, x)

@@ -555,9 +555,12 @@ def test_evaluate_hide_fraction_selecting_zero_rows_is_usage_error(tmp_path, cap
     assert not out.exists()
 
 
-def test_impute_beyond_float32_range_is_data_error(tmp_path, capsys):
+@pytest.mark.parametrize("clamp", [[], ["--no-clamp"]], ids=["clamped", "no-clamp"])
+def test_impute_beyond_float32_range_is_data_error(tmp_path, capsys, clamp):
     # a masked hub with 100 leaves observed at 1e38: one symmetric-normalized
-    # hop gives it 100 * 1e38 / sqrt(100) = 1e39, which float32 cannot hold
+    # hop gives it 100 * 1e38 / sqrt(100) = 1e39, which float32 cannot hold;
+    # the store, or an unclamped run's cast, turns it into an infinity
+    # without a warning, which fails the suite
     n = 100
     (tmp_path / "r.tsv").write_text("".join(f"u{i}\thub\nu{i}\tleaf{i}\n" for i in range(n)))
     feats = np.full((n + 1, 2), 1e38, dtype=np.float32)
@@ -568,7 +571,7 @@ def test_impute_beyond_float32_range_is_data_error(tmp_path, capsys):
     assert main([
         "impute", "--interactions", str(tmp_path / "r.tsv"),
         "--features", f"text={tmp_path / 'text.fmat'}", "--mask", str(tmp_path / "mask.tsv"),
-        "--method", "multihop", "--hops", "1", "--out", str(out),
+        "--method", "multihop", "--hops", "1", *clamp, "--out", str(out),
     ]) == 2
     assert "refusing to write values that are not finite at float32" in capsys.readouterr().err
     assert not (out / "text.fmat").exists()

@@ -262,10 +262,15 @@ def whole(x):
     return _State(x, x, slice(None))
 
 
+def warm(n):
+    """A cold mask over n items with no cold item."""
+    return np.zeros(n, dtype=bool)
+
+
 def test_ppr_fixed_point_zero_input_stops_at_once():
     g = binary_graph(3, [(0, 1), (1, 2)])
     a_sl = ppr_iterative(g, 0.85).matrix
-    state, steps, residual = _ppr_hop(a_sl, 0.85, whole(np.zeros((3, 2))), 1e-8, 1)
+    state, steps, residual = _ppr_hop(a_sl, 0.85, whole(np.zeros((3, 2))), warm(3), 1e-8, 1)
     assert (steps, residual) == (1, 0.0)
     assert not state.x.any()
 
@@ -286,7 +291,7 @@ def test_ppr_fixed_point_memory_stays_flat(monkeypatch, workers):
     rows = np.sort(rng.choice(2048, 1024, replace=False))
     tracemalloc.start()
     try:
-        _, steps, _ = _ppr_hop(a_sl, 0.5, _State(x, x, rows), 1e-6, 1)
+        _, steps, _ = _ppr_hop(a_sl, 0.5, _State(x, x, rows), warm(2048), 1e-6, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -381,7 +386,7 @@ def test_ppr_fixed_point_nan_in_one_block_is_divergence(monkeypatch):
     x0 = np.array([[1.0, 1.0], [1.0, 1.0], [1e308, 1e308], [1e308, 1e308]])
     with warnings.catch_warnings(), pytest.raises(DivergentDiffusion, match=r"last residual nan\)"):
         warnings.simplefilter("ignore", RuntimeWarning)  # overflow, in whichever thread
-        _ppr_hop(a_sl, 0.9, whole(x0), 1e-8, 1)
+        _ppr_hop(a_sl, 0.9, whole(x0), warm(4), 1e-8, 1)
 
 
 def test_ppr_fixed_point_blocks_follow_the_callers_errstate(monkeypatch):
@@ -391,9 +396,9 @@ def test_ppr_fixed_point_blocks_follow_the_callers_errstate(monkeypatch):
     a_sl = ppr_iterative(binary_graph(4, [(0, 1), (2, 3)]), 0.9).matrix
     x0 = np.array([[1.0, 1.0], [1.0, 1.0], [1e308, 1e308], [1e308, 1e308]])
     with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-        _ppr_hop(a_sl, 0.9, whole(x0), 1e-8, 1)
+        _ppr_hop(a_sl, 0.9, whole(x0), warm(4), 1e-8, 1)
     with np.errstate(all="ignore"), pytest.raises(DivergentDiffusion):
-        _ppr_hop(a_sl, 0.9, whole(x0), 1e-8, 1)  # no RuntimeWarning, which fails the suite
+        _ppr_hop(a_sl, 0.9, whole(x0), warm(4), 1e-8, 1)  # no RuntimeWarning, which fails the suite
 
 
 def fixed_point_outcome(solve, *args):
@@ -422,7 +427,9 @@ def test_ppr_fixed_point_matches_expression_oracle():
     cases.append((two_node, 0.5, np.array([[1.0], [0.0]]), 1e-8))
 
     def hop(a_sl, alpha, x0, tolerance):
-        state, steps, residual = _ppr_hop(a_sl, alpha, whole(x0.copy()), tolerance, 1)
+        state, steps, residual = _ppr_hop(
+            a_sl, alpha, whole(x0.copy()), warm(x0.shape[0]), tolerance, 1
+        )
         return state.x, steps, residual
 
     for k, args in enumerate(cases):
@@ -532,7 +539,7 @@ def test_unit_columns_do_not_depend_on_their_chunk(monkeypatch, workers):
     # or the masked rows of a working copy whose other rows stay
     src, y = x.copy(), x.copy()
     for state in (_State(src, np.zeros((rows.size, d)), rows), _State(y, y, rows)):
-        state, steps, residual = _ppr_hop(a_sl, 0.85, state, 1e-9, 1)
+        state, steps, residual = _ppr_hop(a_sl, 0.85, state, warm(n), 1e-9, 1)
         assert state[:].tobytes() == want.tobytes()
         assert steps == max(s for _, s, _ in alone)
         assert residual == max(r for _, _, r in alone) <= bound
@@ -1004,6 +1011,17 @@ def test_ppr_divergence_names_its_modality():
         "modality 'visual': personalized-PageRank fixed point did not reach residual 1.000e-08 "
         "(iter_tolerance=1e-08 times max |x0| = 1.000e+00) in hop 1 within 500 steps at alpha=0.5 "
     )
+
+
+def test_ppr_nan_in_the_last_chunk_gives_a_nan_scale():
+    # max|x0| combines the chunks' extremes with np.max; the builtin max
+    # would drop a NaN that is not its first argument
+    g = binary_graph(3, [(0, 1), (1, 2)])
+    x = np.ones((3, 8))  # four chunks of two columns
+    x[0, 7] = np.nan  # an observed row, in the last chunk
+    f = feature_set(x, [False, True, False])
+    with pytest.raises(DivergentDiffusion, match=r"times max \|x0\| = nan\) in hop 1 "):
+        impute_pers_pagerank(f, g, 0.85, 1)
 
 
 def test_ppr_masked_block_divergence_names_its_bound(monkeypatch):

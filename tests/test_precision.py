@@ -98,6 +98,51 @@ def test_impute_float32_matches_float64_widening(tmp_path):
     assert kinds == {"dict", "str"}  # both results and errors were compared
 
 
+def test_masked_row_contents_are_never_read():
+    # every imputer reads a masked row as a zero placeholder, whatever it
+    # holds, at either precision: 1e30 and NaN in masked rows, cold ones
+    # among them, change no output bit and no report
+    def run(f, r, cfg):
+        def call():
+            out, report = impute(f, r, cfg)
+            report.pop("timing")
+            return {m: x.tobytes() for m, x in out.matrices.items()}, json.dumps(report)
+
+        return outcome(call)
+
+    def dirtied(f):
+        matrices = {}
+        for m in f.modalities:
+            x, rows = f.matrices[m].copy(), np.flatnonzero(f.masks[m])
+            x[rows[0::2]], x[rows[1::2]] = 1e30, np.nan
+            matrices[m] = x
+        return FeatureSet(f.modalities, matrices, f.masks)
+
+    rng = np.random.default_rng(36)
+    for case in range(2):
+        r, f32, f64 = random_dataset(rng, all_masked=False)
+        dirty32 = dirtied(f32)
+        dirty64 = FeatureSet(
+            f64.modalities, {m: x.astype(np.float64) for m, x in dirty32.matrices.items()}, f64.masks
+        )
+        for method in METHODS:
+            for clamp in (True, False):
+                for fallback in FALLBACKS:
+                    cfg = ImputeConfig(
+                        method=method, top_k=2, hops=3, alpha=0.85, seed=case,
+                        cold_fallback=fallback, iter_tolerance=1e-6, clamp=clamp,
+                    )
+                    want64, want32 = run(f64, r, cfg), run(f32, r, cfg)
+                    assert isinstance(want64[0], dict), (case, cfg)
+                    assert run(dirty64, r, cfg) == want64, (case, cfg)
+                    assert run(dirty32, r, cfg) == want32, (case, cfg)
+                    rounded = {
+                        m: np.frombuffer(bits).astype(np.float32).tobytes()
+                        for m, bits in want64[0].items()
+                    }
+                    assert want32 == (rounded, want64[1]), (case, cfg)
+
+
 def test_drop_missing_float32_matches_float64_widening(tmp_path):
     rng = np.random.default_rng(33)
     for case in range(8):
